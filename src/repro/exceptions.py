@@ -50,3 +50,11 @@ class AnalysisError(ReproError):
 
 class ExperimentError(ReproError):
     """An experiment driver was misconfigured."""
+
+
+class SegmentError(ReproError, ValueError):
+    """A shared segment holds another schema, generation or size.
+
+    Raised by :func:`repro.utils.segment.open_segment`; a
+    ``ValueError`` too, so callers checking for bad input catch it.
+    """

@@ -59,14 +59,15 @@ import threading
 from collections import OrderedDict
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import faults, obs
 from repro.exceptions import ExperimentError
-from repro.graph.core import Graph, SharedGraphDescriptor, SharedGraphHandle
+from repro.graph.core import Graph, SharedGraphDescriptor
 from repro.graph.forest_cache import graph_fingerprint
+from repro.utils.segment import SegmentHandle
 
 __all__ = [
     "GridChunk",
@@ -112,6 +113,11 @@ _OBS_SEGMENTS = obs.gauge(
     "repro_shared_graph_segments",
     "Shared-memory graph segments currently published by this process.",
 )
+
+
+#: Published graph segments kept per process: the parent registry's
+#: default LRU bound, and the bound on each worker's attachments.
+_MAX_SEGMENTS = 8
 
 
 def resolve_workers(requested: int) -> int:
@@ -213,13 +219,13 @@ class SharedGraphRegistry:
     they just can't be joined by new attachments.
     """
 
-    def __init__(self, max_segments: int = 8) -> None:
+    def __init__(self, max_segments: int = _MAX_SEGMENTS) -> None:
         if max_segments < 1:
             raise ExperimentError(
                 f"max_segments must be >= 1, got {max_segments}"
             )
         self._max_segments = int(max_segments)
-        self._handles: "OrderedDict[str, SharedGraphHandle]" = OrderedDict()
+        self._handles: "OrderedDict[str, SegmentHandle]" = OrderedDict()
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -235,7 +241,7 @@ class SharedGraphRegistry:
                 self._handles.move_to_end(fingerprint)
                 return handle.descriptor
         handle = graph.to_shared()
-        evicted: List[SharedGraphHandle] = []
+        evicted: List[SegmentHandle] = []
         with self._lock:
             raced = self._handles.get(fingerprint)
             if raced is not None:
@@ -351,12 +357,11 @@ atexit.register(shutdown_pool)
 # Worker-side task
 # ---------------------------------------------------------------------------
 
-#: Worker-side attachments: segment name -> zero-copy Graph view.  One
-#: entry per distinct segment this worker has served; bounded in
-#: practice by the parent registry's LRU (segment names are unique, so
-#: a re-published topology gets a fresh entry and the stale mapping
-#: dies with its views).
-_ATTACHED: Dict[str, Graph] = {}
+#: Worker-side attachments: segment name -> zero-copy Graph view, LRU-
+#: bounded like the parent registry.  Segment names are unique, so a
+#: re-published topology gets a fresh entry and the stale one ages out;
+#: its mapping dies with its views.
+_ATTACHED: "OrderedDict[str, Graph]" = OrderedDict()
 
 
 def _attached_graph(descriptor: SharedGraphDescriptor) -> Graph:
@@ -364,6 +369,10 @@ def _attached_graph(descriptor: SharedGraphDescriptor) -> Graph:
     if graph is None:
         graph = Graph.from_shared(descriptor)
         _ATTACHED[descriptor.name] = graph
+        while len(_ATTACHED) > _MAX_SEGMENTS:
+            _ATTACHED.popitem(last=False)
+    else:
+        _ATTACHED.move_to_end(descriptor.name)
     return graph
 
 

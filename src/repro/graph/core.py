@@ -20,8 +20,12 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.exceptions import GraphError, NodeError
+from repro.utils.segment import SegmentHandle, create_segment, open_segment
 
-__all__ = ["Graph", "SharedGraphDescriptor", "SharedGraphHandle"]
+__all__ = ["Graph", "SharedGraphDescriptor"]
+
+#: Segment schema of a published CSR graph (see :mod:`repro.utils.segment`).
+_SEGMENT_SCHEMA = ("csr graph", 1)
 
 
 @dataclass(frozen=True)
@@ -46,49 +50,6 @@ class SharedGraphDescriptor:
     def nbytes(self) -> int:
         """Size of the segment payload (int64 indptr + int32 indices)."""
         return 8 * (self.num_nodes + 1) + 4 * self.num_indices
-
-
-class SharedGraphHandle:
-    """Creator-side ownership of one shared CSR segment.
-
-    Lifetime is explicit: the creating process must eventually call
-    :meth:`unlink` (or :meth:`release`) exactly once or the segment
-    outlives every process that mapped it.  Attached processes never
-    unlink; their mapping dies with their last view (see
-    :meth:`Graph.from_shared`).
-    """
-
-    __slots__ = ("_shm", "descriptor", "_unlinked")
-
-    def __init__(self, shm, descriptor: SharedGraphDescriptor) -> None:
-        self._shm = shm
-        self.descriptor = descriptor
-        self._unlinked = False
-
-    def unlink(self) -> None:
-        """Free the segment system-wide (idempotent)."""
-        if not self._unlinked:
-            self._unlinked = True
-            self._shm.unlink()
-
-    def release(self) -> None:
-        """Unlink and drop this process's mapping, tolerating repeats."""
-        try:
-            self.unlink()
-        except FileNotFoundError:  # pragma: no cover - external unlink
-            pass
-        try:
-            self._shm.close()
-        except BufferError:  # pragma: no cover - a live view pins the map
-            pass
-
-    def __repr__(self) -> str:
-        return (
-            f"SharedGraphHandle(name={self.descriptor.name!r}, "
-            f"nbytes={self.descriptor.nbytes}, unlinked={self._unlinked})"
-        )
-
-
 
 
 class Graph:
@@ -117,7 +78,7 @@ class Graph:
     run in ``O(log degree)``.
     """
 
-    __slots__ = ("_num_nodes", "_indptr", "_indices", "_shm")
+    __slots__ = ("_num_nodes", "_indptr", "_indices", "__weakref__")
 
     def __init__(
         self,
@@ -131,9 +92,6 @@ class Graph:
         self._indices = np.ascontiguousarray(indices, dtype=np.int32)
         self._indptr.setflags(write=False)
         self._indices.setflags(write=False)
-        # Set only by from_shared(): keeps an attached segment mapped for
-        # exactly as long as the views over it are reachable.
-        self._shm = None
         if check:
             self._validate()
 
@@ -225,11 +183,12 @@ class Graph:
     # Shared-memory publication (zero-copy cross-process views)
     # ------------------------------------------------------------------
 
-    def to_shared(self) -> SharedGraphHandle:
+    def to_shared(self) -> SegmentHandle:
         """Publish the CSR arrays into a shared-memory segment (one copy).
 
-        Layout: ``indptr`` (int64) at offset 0, ``indices`` (int32)
-        immediately after — the same flat arrays this object holds, so
+        The segment is a ``csr graph`` schema over
+        :mod:`repro.utils.segment`: ``indptr`` (int64) then ``indices``
+        (int32) — the same flat arrays this object holds, so
         :meth:`from_shared` reconstructs byte-identical adjacency.  The
         returned handle owns the segment: ship ``handle.descriptor`` to
         workers and call ``handle.unlink()`` when the topology retires
@@ -238,55 +197,37 @@ class Graph:
         which deduplicates publication by content fingerprint.
         """
         from repro.graph.forest_cache import graph_fingerprint
-        from repro.utils.shm import create_segment
 
-        split = self._indptr.nbytes
-        total = split + self._indices.nbytes
-        shm = create_segment(total)
-        np.frombuffer(shm.buf, dtype=np.int64, count=self._num_nodes + 1)[
-            :
-        ] = self._indptr
-        np.frombuffer(
-            shm.buf,
-            dtype=np.int32,
-            count=self._indices.shape[0],
-            offset=split,
-        )[:] = self._indices
-        descriptor = SharedGraphDescriptor(
-            name=shm.name,
+        handle = create_segment(
+            *_SEGMENT_SCHEMA,
+            {"indptr": self._indptr, "indices": self._indices},
+        )
+        handle.descriptor = SharedGraphDescriptor(
+            name=handle.name,
             num_nodes=self._num_nodes,
             num_indices=int(self._indices.shape[0]),
             fingerprint=graph_fingerprint(self),
         )
-        return SharedGraphHandle(shm, descriptor)
+        return handle
 
     @classmethod
     def from_shared(cls, descriptor: SharedGraphDescriptor) -> "Graph":
         """Attach zero-copy, read-only views over a published segment.
 
-        The attached graph keeps the mapping alive for its own lifetime
-        (the ``SharedMemory`` object rides on the instance), skips CSR
-        validation (the creator's graph already passed it), and primes
-        the fingerprint memo from the descriptor so forest-cache keys
-        match the creator's without re-hashing.  Views are write-
-        protected like every graph's; the segment itself stays writable
-        only through the creator's handle.
+        The segment stays mapped exactly as long as the attached graph's
+        arrays are reachable.  Attaching skips CSR validation (the
+        creator's graph already passed it) but not the segment checks:
+        a name holding another schema raises
+        :class:`~repro.exceptions.SegmentError`.  The fingerprint memo
+        is primed from the descriptor so forest-cache keys match the
+        creator's without re-hashing.
         """
         from repro.graph.forest_cache import prime_fingerprint
-        from repro.utils.shm import attach_segment
 
-        shm = attach_segment(descriptor.name)
-        indptr = np.frombuffer(
-            shm.buf, dtype=np.int64, count=descriptor.num_nodes + 1
+        arrays = open_segment(*_SEGMENT_SCHEMA, name=descriptor.name).arrays
+        graph = cls(
+            descriptor.num_nodes, arrays["indptr"], arrays["indices"], check=False
         )
-        indices = np.frombuffer(
-            shm.buf,
-            dtype=np.int32,
-            count=descriptor.num_indices,
-            offset=indptr.nbytes,
-        )
-        graph = cls(descriptor.num_nodes, indptr, indices, check=False)
-        graph._shm = shm
         prime_fingerprint(graph, descriptor.fingerprint)
         return graph
 

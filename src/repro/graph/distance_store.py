@@ -20,18 +20,19 @@ fleet workers — map them zero-copy:
 * **Attach zero-copy.**  :func:`attach_distance_store` maps the file
   read-only; ``store.distances`` / ``store.parents`` are views over the
   page cache, so forty attached processes cost one copy of the rows.
-* **Same lifecycle as the fleet table store.**  The file header carries
-  a ``generation``; attaching through a stale descriptor raises, and
+* **Same lifecycle as the fleet table store.**  The file is a
+  ``distance store`` schema over :mod:`repro.utils.segment` (which owns
+  the byte layout): a ``sources`` int32 row index, then ``dist`` and —
+  when built with parents — ``parent`` int32 ``(rows, num_nodes)``
+  blocks, plus the graph fingerprint.  The header carries a
+  ``generation``; attaching through a stale descriptor raises, and
   reload rides on POSIX unlink semantics — attached stores keep a valid
   mapping after the creator unlinks, new attachments can only land on
   the new generation's file.
-
-File layout (all offsets 8-byte aligned)::
-
-    [u64 header_len][header JSON, utf-8][pad]
-    sources  int32[num_sources]
-    dist     int32[num_sources, num_nodes]
-    parent   int32[num_sources, num_nodes]     (when has_parents)
+* **Atomic build.**  Rows are written into a sibling temp file that
+  replaces ``path`` only once every row is in, so a failed build leaves
+  the directory as it was and a rebuild never truncates a file under
+  live readers.
 
 Because rows store *parents* too, a consumer gets the full
 :class:`~repro.graph.paths.ShortestPathForest` back (tie-break
@@ -42,13 +43,10 @@ the graph again.
 
 from __future__ import annotations
 
-import json
-import mmap
 import os
-import struct
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
 
@@ -57,6 +55,7 @@ from repro.graph.core import Graph
 from repro.graph.forest_cache import graph_fingerprint
 from repro.graph.paths import ShortestPathForest, bfs_from_many
 from repro.utils.rng import RandomState, ensure_rng
+from repro.utils.segment import Segment, create_segment, open_segment
 
 __all__ = [
     "DistanceStore",
@@ -65,18 +64,12 @@ __all__ = [
     "build_distance_store",
 ]
 
-_MAGIC = "repro-distance-store"
-_VERSION = 1
-_HEADER_LEN = struct.Struct("<Q")
+_SEGMENT_SCHEMA = ("distance store", 2)
 
 #: Sources per BFS batch during a build — bounds the writer's transient
 #: working set at ``2 * chunk * num_nodes`` int32 regardless of how
 #: many rows the store holds.
 _BUILD_CHUNK_SOURCES = 8
-
-
-def _align8(n: int) -> int:
-    return (n + 7) & ~7
 
 
 @dataclass(frozen=True)
@@ -101,32 +94,24 @@ class DistanceStoreDescriptor:
 class DistanceStore:
     """An attached, read-only view over a distance-store file.
 
-    Keep the instance referenced while any row view escapes; `close()`
-    drops the mapping (best-effort while views are live).
+    Row views handed out stay valid on their own: the file stays mapped
+    until the last view over it — the store's or an escaped row's — dies.
     """
 
-    def __init__(
-        self,
-        path: str,
-        header: dict,
-        mapping: mmap.mmap,
-        sources: np.ndarray,
-        dist: np.ndarray,
-        parent: Optional[np.ndarray],
-    ) -> None:
+    def __init__(self, path: str, segment: Segment) -> None:
         self._path = path
-        self._header = header
-        self._mm: Optional[mmap.mmap] = mapping
-        self._sources = sources
-        self._dist = dist
-        self._parent = parent
-        self._row_of = {int(s): i for i, s in enumerate(sources)}
-        self._complete = int(header["num_sources"]) == int(
-            header["num_nodes"]
-        ) and bool(
+        self._generation = segment.generation
+        self._fingerprint = str(segment.meta["fingerprint"])
+        self._nbytes = segment.nbytes
+        self._sources = segment.arrays["sources"]
+        self._dist = segment.arrays["dist"]
+        self._parent = segment.arrays.get("parent")
+        self._num_nodes = int(self._dist.shape[1])
+        self._has_parents = self._parent is not None
+        self._row_of = {int(s): i for i, s in enumerate(self._sources)}
+        self._complete = self._sources.size == self._num_nodes and bool(
             np.array_equal(
-                sources,
-                np.arange(int(header["num_nodes"]), dtype=np.int32),
+                self._sources, np.arange(self._num_nodes, dtype=np.int32)
             )
         )
 
@@ -139,27 +124,27 @@ class DistanceStore:
     @property
     def generation(self) -> int:
         """Store generation, as written by the builder."""
-        return int(self._header["generation"])
+        return self._generation
 
     @property
     def num_nodes(self) -> int:
         """Columns per row (the graph's node count)."""
-        return int(self._header["num_nodes"])
+        return self._num_nodes
 
     @property
     def num_sources(self) -> int:
         """Rows in the store."""
-        return int(self._header["num_sources"])
+        return int(self._sources.size)
 
     @property
     def fingerprint(self) -> str:
         """Content fingerprint of the graph the rows were built from."""
-        return str(self._header["fingerprint"])
+        return self._fingerprint
 
     @property
     def has_parents(self) -> bool:
         """Whether parent rows were built alongside distances."""
-        return bool(self._header["has_parents"])
+        return self._has_parents
 
     @property
     def descriptor(self) -> DistanceStoreDescriptor:
@@ -171,7 +156,7 @@ class DistanceStore:
             num_sources=self.num_sources,
             has_parents=self.has_parents,
             fingerprint=self.fingerprint,
-            nbytes=int(self._header["nbytes"]),
+            nbytes=self._nbytes,
         )
 
     # -- rows ---------------------------------------------------------
@@ -260,22 +245,16 @@ class DistanceStore:
             )
 
     def close(self) -> None:
-        """Drop this process's mapping (idempotent, best-effort).
+        """Drop this store's row views (idempotent).
 
-        Row views handed out earlier keep the underlying buffer alive —
-        the mapping itself then survives until their last reference
-        dies, exactly like a detached shared-memory view.
+        The mapping is unmapped once no view over it is left — right
+        away unless row views handed out earlier are still referenced,
+        exactly like a detached shared-memory view.
         """
         self._dist = None
         self._parent = None
         self._sources = np.array(self._sources, dtype=np.int32)
         self._row_of = {}
-        if self._mm is not None:
-            mapping, self._mm = self._mm, None
-            try:
-                mapping.close()
-            except BufferError:  # pragma: no cover - escaped views pin it
-                pass
 
     def unlink(self) -> None:
         """Delete the backing file (idempotent).
@@ -296,48 +275,25 @@ class DistanceStore:
         )
 
 
-def _layout(header_len: int, num_sources: int, num_nodes: int, has_parents: bool):
-    """Byte offsets of (sources, dist, parent) and the total file size."""
-    off_sources = _align8(_HEADER_LEN.size + header_len)
-    off_dist = _align8(off_sources + 4 * num_sources)
-    row_bytes = 4 * num_sources * num_nodes
-    off_parent = _align8(off_dist + row_bytes)
-    total = off_parent + (row_bytes if has_parents else 0)
-    return off_sources, off_dist, off_parent, total
-
-
-# Worker-side attachment cache: shared-segment name -> Graph view.  One
-# entry per distinct published topology this worker has built rows for.
-_WORKER_GRAPHS: dict = {}
-
-
-def _attached_build_graph(descriptor) -> Graph:
-    graph = _WORKER_GRAPHS.get(descriptor.name)
-    if graph is None:
-        graph = Graph.from_shared(descriptor)
-        _WORKER_GRAPHS[descriptor.name] = graph
-    return graph
-
-
 def _build_rows_task(
     graph_descriptor,
     path: str,
     num_nodes: int,
-    off_dist: int,
-    off_parent: int,
-    include_parents: bool,
+    offsets: Dict[str, int],
     row_lo: int,
     sources_chunk: Sequence[int],
 ) -> int:
     """Worker entry: BFS a chunk of sources and write its row slice."""
-    graph = _attached_build_graph(graph_descriptor)
+    # Imported here: pool lives above the graph layer (it already
+    # imports repro.graph.core), so the build reaches up lazily instead
+    # of creating an import cycle.
+    from repro.experiments.pool import _attached_graph
+
     return _write_rows(
-        graph,
+        _attached_graph(graph_descriptor),
         path,
         num_nodes,
-        off_dist,
-        off_parent,
-        include_parents,
+        offsets,
         row_lo,
         sources_chunk,
     )
@@ -347,9 +303,7 @@ def _write_rows(
     graph: Graph,
     path: str,
     num_nodes: int,
-    off_dist: int,
-    off_parent: int,
-    include_parents: bool,
+    offsets: Dict[str, int],
     row_lo: int,
     sources_chunk: Sequence[int],
 ) -> int:
@@ -357,25 +311,17 @@ def _write_rows(
     dist, parent = bfs_from_many(
         graph, sources_chunk, packed=num_nodes >= 1 << 16
     )
-    out = np.memmap(
-        path,
-        dtype=np.int32,
-        mode="r+",
-        offset=off_dist + 4 * row_lo * num_nodes,
-        shape=(rows, num_nodes),
-    )
-    out[:] = dist
-    out.flush()
-    del out
-    if include_parents:
+    for name, block in (("dist", dist), ("parent", parent)):
+        if name not in offsets:
+            continue
         out = np.memmap(
             path,
             dtype=np.int32,
             mode="r+",
-            offset=off_parent + 4 * row_lo * num_nodes,
+            offset=offsets[name] + 4 * row_lo * num_nodes,
             shape=(rows, num_nodes),
         )
-        out[:] = parent
+        out[:] = block
         out.flush()
         del out
     return rows
@@ -398,7 +344,8 @@ def build_distance_store(
     graph:
         The graph to BFS.
     path:
-        File to create (overwritten if present).
+        File to create, atomically: rows are written to a sibling temp
+        file that replaces ``path`` (if present) only once complete.
     sources:
         Row sources, unique, in row order.  Defaults to *all* nodes —
         only sensible for small graphs; million-node stores should pass
@@ -435,76 +382,66 @@ def build_distance_store(
     if chunk_sources < 1:
         raise GraphError(f"chunk_sources must be >= 1, got {chunk_sources}")
 
-    header = {
-        "magic": _MAGIC,
-        "version": _VERSION,
-        "generation": int(generation),
-        "num_nodes": int(graph.num_nodes),
-        "num_sources": int(src.size),
-        "has_parents": bool(include_parents),
-        "fingerprint": graph_fingerprint(graph),
-    }
-    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    off_sources, off_dist, off_parent, total = _layout(
-        len(header_bytes), src.size, graph.num_nodes, include_parents
-    )
-    header["nbytes"] = total
-
-    with open(path, "wb") as fh:
-        fh.write(_HEADER_LEN.pack(len(header_bytes)))
-        fh.write(header_bytes)
-        fh.seek(off_sources)
-        fh.write(src.tobytes())
-        fh.truncate(total)
-
+    num_nodes = graph.num_nodes
+    arrays = {"sources": src, "dist": (np.int32, (src.size, num_nodes))}
+    if include_parents:
+        arrays["parent"] = (np.int32, (src.size, num_nodes))
     chunks = [
         (lo, src[lo : lo + chunk_sources].tolist())
         for lo in range(0, src.size, chunk_sources)
     ]
-    write_args = (
-        path,
-        graph.num_nodes,
-        off_dist,
-        off_parent,
-        include_parents,
-    )
-    if num_workers > 1 and len(chunks) > 1:
-        # Imported here: pool lives above the graph layer (it already
-        # imports repro.graph.core), so the build-time fan-out reaches
-        # up lazily instead of creating an import cycle.
-        from repro.experiments.pool import get_pool, shared_graphs
 
-        executor = get_pool().ensure(num_workers)
-        shared_csr = shared_graphs().descriptor(graph)
-        futures = [
-            (
-                lo,
-                chunk,
-                executor.submit(
-                    _build_rows_task, shared_csr, *write_args, lo, chunk
-                ),
-            )
-            for lo, chunk in chunks
-        ]
-        for lo, chunk, future in futures:
-            try:
-                future.result()
-            except Exception as exc:
-                # A crashed worker costs its chunk, never the build —
-                # rows are a pure function of (graph, sources), so the
-                # inline recompute is bit-identical.
-                warnings.warn(
-                    f"distance-store worker failed on rows "
-                    f"[{lo}, {lo + len(chunk)}) ({exc!r}); recomputing "
-                    "inline",
-                    RuntimeWarning,
-                    stacklevel=2,
+    def fill(tmp_path: str, offsets: Dict[str, int]) -> None:
+        if num_workers > 1 and len(chunks) > 1:
+            # Imported here for the same layering reason as in
+            # _build_rows_task.
+            from repro.experiments.pool import get_pool, shared_graphs
+
+            executor = get_pool().ensure(num_workers)
+            shared_csr = shared_graphs().descriptor(graph)
+            futures = [
+                (
+                    lo,
+                    chunk,
+                    executor.submit(
+                        _build_rows_task,
+                        shared_csr,
+                        tmp_path,
+                        num_nodes,
+                        offsets,
+                        lo,
+                        chunk,
+                    ),
                 )
-                _write_rows(graph, *write_args, lo, chunk)
-    else:
-        for lo, chunk in chunks:
-            _write_rows(graph, *write_args, lo, chunk)
+                for lo, chunk in chunks
+            ]
+            for lo, chunk, future in futures:
+                try:
+                    future.result()
+                except Exception as exc:
+                    # A crashed worker costs its chunk, never the build —
+                    # rows are a pure function of (graph, sources), so
+                    # the inline recompute is bit-identical.
+                    warnings.warn(
+                        f"distance-store worker failed on rows "
+                        f"[{lo}, {lo + len(chunk)}) ({exc!r}); recomputing "
+                        "inline",
+                        RuntimeWarning,
+                        stacklevel=4,
+                    )
+                    _write_rows(graph, tmp_path, num_nodes, offsets, lo, chunk)
+        else:
+            for lo, chunk in chunks:
+                _write_rows(graph, tmp_path, num_nodes, offsets, lo, chunk)
 
+    create_segment(
+        *_SEGMENT_SCHEMA,
+        arrays,
+        generation=int(generation),
+        meta={"fingerprint": graph_fingerprint(graph)},
+        path=path,
+        fill=fill,
+    )
     return attach_distance_store(path, expected_generation=int(generation))
 
 
@@ -535,68 +472,12 @@ def attach_distance_store(
     else:
         path = str(target)
 
-    with open(path, "rb") as fh:
-        mapping = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-    try:
-        try:
-            (header_len,) = _HEADER_LEN.unpack_from(mapping, 0)
-            header = json.loads(
-                mapping[
-                    _HEADER_LEN.size : _HEADER_LEN.size + header_len
-                ].decode("utf-8")
-            )
-        except (struct.error, UnicodeDecodeError, json.JSONDecodeError):
-            header = None
-        if (
-            not isinstance(header, dict)
-            or header.get("magic") != _MAGIC
-            or int(header.get("version", -1)) != _VERSION
-        ):
-            raise ValueError(
-                f"{path!r} is not a version-{_VERSION} distance store"
-            )
-        if (
-            expected_generation is not None
-            and int(header["generation"]) != int(expected_generation)
-        ):
-            raise ValueError(
-                f"distance store {path!r} holds generation "
-                f"{header['generation']}, expected {expected_generation}"
-            )
-        num_sources = int(header["num_sources"])
-        num_nodes = int(header["num_nodes"])
-        has_parents = bool(header["has_parents"])
-        off_sources, off_dist, off_parent, total = _layout(
-            header_len, num_sources, num_nodes, has_parents
-        )
-        header["nbytes"] = total
-        if mapping.size() != total:
-            raise ValueError(
-                f"distance store {path!r} is {mapping.size()} bytes, "
-                f"layout says {total}"
-            )
-        src = np.frombuffer(
-            mapping, dtype=np.int32, count=num_sources, offset=off_sources
-        )
-        dist = np.frombuffer(
-            mapping,
-            dtype=np.int32,
-            count=num_sources * num_nodes,
-            offset=off_dist,
-        ).reshape(num_sources, num_nodes)
-        parent = None
-        if has_parents:
-            parent = np.frombuffer(
-                mapping,
-                dtype=np.int32,
-                count=num_sources * num_nodes,
-                offset=off_parent,
-            ).reshape(num_sources, num_nodes)
-    except Exception:
-        mapping.close()
-        raise
-
-    store = DistanceStore(path, header, mapping, src, dist, parent)
+    store = DistanceStore(
+        path,
+        open_segment(
+            *_SEGMENT_SCHEMA, path=path, generation=expected_generation
+        ),
+    )
     if graph is not None:
         store.check_graph(graph)
     return store

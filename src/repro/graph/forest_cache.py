@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import hashlib
 import threading
+import weakref
 from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
@@ -98,10 +99,11 @@ _OBS_COALESCED = obs.counter(
     "Lookups that waited on another thread's in-flight BFS.",
 )
 
-# fingerprint memo: id(graph) -> (graph, hex digest).  Holding the graph
-# keeps the id stable; the dict is bounded to avoid pinning unbounded
-# numbers of dead topologies in memory.
-_FINGERPRINT_MEMO: "OrderedDict[int, Tuple[Graph, str]]" = OrderedDict()
+# fingerprint memo: id(graph) -> (weak ref to graph, hex digest).  The
+# weak ref tells a live entry from a recycled id without pinning the
+# graph — an attached graph's shared mapping must die with its last
+# user, not when this bounded memo evicts it.
+_FINGERPRINT_MEMO: "OrderedDict[int, Tuple[weakref.ref, str]]" = OrderedDict()
 _FINGERPRINT_MEMO_MAX = 64
 _FINGERPRINT_LOCK = threading.Lock()
 
@@ -115,7 +117,7 @@ def graph_fingerprint(graph: Graph) -> str:
     """
     with _FINGERPRINT_LOCK:
         memo = _FINGERPRINT_MEMO.get(id(graph))
-        if memo is not None and memo[0] is graph:
+        if memo is not None and memo[0]() is graph:
             _FINGERPRINT_MEMO.move_to_end(id(graph))
             return memo[1]
     digest = hashlib.sha1()
@@ -124,7 +126,7 @@ def graph_fingerprint(graph: Graph) -> str:
     digest.update(graph.indices.tobytes())
     fingerprint = digest.hexdigest()
     with _FINGERPRINT_LOCK:
-        _FINGERPRINT_MEMO[id(graph)] = (graph, fingerprint)
+        _FINGERPRINT_MEMO[id(graph)] = (weakref.ref(graph), fingerprint)
         while len(_FINGERPRINT_MEMO) > _FINGERPRINT_MEMO_MAX:
             _FINGERPRINT_MEMO.popitem(last=False)
     return fingerprint
@@ -141,7 +143,7 @@ def prime_fingerprint(graph: Graph, fingerprint: str) -> None:
     the digest :func:`graph_fingerprint` would compute.
     """
     with _FINGERPRINT_LOCK:
-        _FINGERPRINT_MEMO[id(graph)] = (graph, str(fingerprint))
+        _FINGERPRINT_MEMO[id(graph)] = (weakref.ref(graph), str(fingerprint))
         _FINGERPRINT_MEMO.move_to_end(id(graph))
         while len(_FINGERPRINT_MEMO) > _FINGERPRINT_MEMO_MAX:
             _FINGERPRINT_MEMO.popitem(last=False)

@@ -10,7 +10,6 @@ die.  See ``docs/fleet.md`` for the architecture and protocols.
 
 from repro.serve.fleet.store import (
     TableStoreDescriptor,
-    TableStoreHandle,
     attach_tables,
     publish_tables,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "FleetSupervisor",
     "FleetWorkerSpec",
     "TableStoreDescriptor",
-    "TableStoreHandle",
     "attach_tables",
     "fleet_worker_main",
     "publish_tables",

@@ -4,56 +4,42 @@ The fleet's workers all serve the same :class:`EstimatorTable` grids,
 and those grids are by far the most expensive thing a serving process
 builds (a full Monte-Carlo sweep per topology).  The supervisor
 therefore builds each table set exactly once, serializes the grids into
-one ``multiprocessing.shared_memory`` segment with
-:func:`publish_tables`, and every worker attaches zero-copy views with
-:func:`attach_tables` — the same publish/attach protocol
-:meth:`repro.graph.core.Graph.to_shared` uses for CSR arrays, on the
-same :mod:`repro.utils.shm` lifecycle helpers.
+one shared-memory segment with :func:`publish_tables`, and every worker
+attaches zero-copy views with :func:`attach_tables`.
 
-Segment layout (all offsets 8-byte aligned)::
-
-    [u64 header_len][header JSON, utf-8][pad]
-    per table, in sorted key order:
-        sizes      int64[knots]
-        tree_size  float64[knots]
-        mean_path  float64[knots]
-
-The header JSON carries the store generation plus everything scalar
-about each table (key, name, mode, source, error bound, knot count), so
-a descriptor — segment name, generation, byte size — is all a worker
-needs to reconstruct the full table dict.
+The segment is a ``table store`` schema over :mod:`repro.utils.segment`
+(which owns the byte layout): per table, in sorted key order, the
+``sizes`` int64, ``tree_size`` float64 and ``mean_path`` float64 grids,
+plus JSON metadata carrying everything scalar about each table (key,
+name, mode, source, error bound, algorithm).  A descriptor — segment
+name, generation, byte size — is all a worker needs to reconstruct the
+full table dict.
 
 Zero-downtime reload rides on POSIX unlink semantics: the supervisor
 publishes generation ``g+1`` as a *new* segment, tells workers to
 attach-and-swap, and only then unlinks generation ``g``.  Workers still
 holding views over the old segment keep a valid mapping until their
-last view dies; new attachments can only land on the new generation.
+last view dies, and not a moment longer; new attachments can only land
+on the new generation.
 """
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
 import numpy as np
 
 from repro.serve.tables import EstimatorTable
-from repro.utils.shm import attach_segment, create_segment
+from repro.utils.segment import SegmentHandle, create_segment, open_segment
 
 __all__ = [
     "TableStoreDescriptor",
-    "TableStoreHandle",
     "attach_tables",
     "publish_tables",
 ]
 
-_HEADER_LEN = struct.Struct("<Q")
-
-
-def _align8(n: int) -> int:
-    return (n + 7) & ~7
+_SEGMENT_SCHEMA = ("table store", 1)
 
 
 @dataclass(frozen=True)
@@ -70,58 +56,20 @@ class TableStoreDescriptor:
     nbytes: int
 
 
-class TableStoreHandle:
-    """Creator-side ownership of one published table-store segment.
-
-    The supervisor must :meth:`release` each generation exactly once
-    when it retires (after every live worker has acked the swap to the
-    next one); attached workers never unlink.
-    """
-
-    __slots__ = ("_shm", "descriptor", "_unlinked")
-
-    def __init__(self, shm, descriptor: TableStoreDescriptor) -> None:
-        self._shm = shm
-        self.descriptor = descriptor
-        self._unlinked = False
-
-    def unlink(self) -> None:
-        """Free the segment system-wide (idempotent)."""
-        if not self._unlinked:
-            self._unlinked = True
-            self._shm.unlink()
-
-    def release(self) -> None:
-        """Unlink and drop this process's mapping, tolerating repeats."""
-        try:
-            self.unlink()
-        except FileNotFoundError:  # pragma: no cover - external unlink
-            pass
-        try:
-            self._shm.close()
-        except BufferError:  # pragma: no cover - a live view pins the map
-            pass
-
-    def __repr__(self) -> str:
-        return (
-            f"TableStoreHandle(name={self.descriptor.name!r}, "
-            f"generation={self.descriptor.generation}, "
-            f"nbytes={self.descriptor.nbytes}, unlinked={self._unlinked})"
-        )
-
-
 def publish_tables(
     tables: Dict[Tuple[str, ...], EstimatorTable], generation: int
-) -> TableStoreHandle:
+) -> SegmentHandle:
     """Serialize a table set into one shared segment (one copy total).
 
     Keys are the service's table keys verbatim — ``(name, mode)`` for
     SPT tables, ``(name, mode, algorithm)`` for non-SPT ones — so the
-    worker's attached dict mirrors the supervisor's exactly.
+    worker's attached dict mirrors the supervisor's exactly.  The
+    supervisor must :meth:`~SegmentHandle.release` each generation
+    exactly once when it retires; attached workers never unlink.
     """
     entries = []
-    arrays = []
-    for key, table in sorted(tables.items()):
+    arrays = {}
+    for i, (key, table) in enumerate(sorted(tables.items())):
         entries.append(
             {
                 "key": list(key),
@@ -130,29 +78,22 @@ def publish_tables(
                 "source": table.source,
                 "rel_error_bound": table.rel_error_bound,
                 "algorithm": table.algorithm,
-                "knots": int(table.sizes.size),
             }
         )
-        arrays.append(np.ascontiguousarray(table.sizes, dtype=np.int64))
-        arrays.append(np.ascontiguousarray(table.tree_size, dtype=np.float64))
-        arrays.append(np.ascontiguousarray(table.mean_path, dtype=np.float64))
-    header = json.dumps(
-        {"generation": int(generation), "tables": entries}, sort_keys=True
-    ).encode("utf-8")
-    offset = _align8(_HEADER_LEN.size + len(header))
-    total = offset + sum(arr.nbytes for arr in arrays)
-    shm = create_segment(total)
-    _HEADER_LEN.pack_into(shm.buf, 0, len(header))
-    shm.buf[_HEADER_LEN.size : _HEADER_LEN.size + len(header)] = header
-    for arr in arrays:
-        np.frombuffer(shm.buf, dtype=arr.dtype, count=arr.size, offset=offset)[
-            :
-        ] = arr
-        offset += arr.nbytes
-    descriptor = TableStoreDescriptor(
-        name=shm.name, generation=int(generation), nbytes=total
+        arrays[f"{i}.sizes"] = np.ascontiguousarray(table.sizes, dtype=np.int64)
+        arrays[f"{i}.tree_size"] = np.ascontiguousarray(
+            table.tree_size, dtype=np.float64
+        )
+        arrays[f"{i}.mean_path"] = np.ascontiguousarray(
+            table.mean_path, dtype=np.float64
+        )
+    handle = create_segment(
+        *_SEGMENT_SCHEMA, arrays, generation=int(generation), meta=entries
     )
-    return TableStoreHandle(shm, descriptor)
+    handle.descriptor = TableStoreDescriptor(
+        name=handle.name, generation=int(generation), nbytes=handle.nbytes
+    )
+    return handle
 
 
 def attach_tables(
@@ -160,46 +101,26 @@ def attach_tables(
 ) -> Dict[Tuple[str, ...], EstimatorTable]:
     """Reconstruct the table dict as zero-copy, read-only views.
 
-    Each returned table pins the segment mapping for its own lifetime
-    (the ``SharedMemory`` object rides on the instance, the way an
-    attached ``Graph`` keeps ``graph._shm``), so the dict can be handed
-    to :meth:`EstimationService.install_tables` and forgotten — the
+    The segment stays mapped exactly as long as some returned table's
+    grids are reachable, so the dict can be handed to
+    :meth:`EstimationService.install_tables` and forgotten — the
     mapping survives the supervisor's unlink until the tables do.
+    Raises :class:`ValueError` when the descriptor's generation (or the
+    segment's schema) does not match.
     """
-    shm = attach_segment(descriptor.name)
-    (header_len,) = _HEADER_LEN.unpack_from(shm.buf, 0)
-    header = json.loads(
-        bytes(shm.buf[_HEADER_LEN.size : _HEADER_LEN.size + header_len]).decode(
-            "utf-8"
-        )
+    segment = open_segment(
+        *_SEGMENT_SCHEMA, name=descriptor.name, generation=descriptor.generation
     )
-    if int(header["generation"]) != int(descriptor.generation):
-        raise ValueError(
-            f"segment {descriptor.name!r} holds generation "
-            f"{header['generation']}, descriptor says {descriptor.generation}"
-        )
-    offset = _align8(_HEADER_LEN.size + header_len)
     tables: Dict[Tuple[str, ...], EstimatorTable] = {}
-    for entry in header["tables"]:
-        knots = int(entry["knots"])
-        views = []
-        for dtype in (np.int64, np.float64, np.float64):
-            view = np.frombuffer(shm.buf, dtype=dtype, count=knots, offset=offset)
-            view.flags.writeable = False
-            views.append(view)
-            offset += view.nbytes
-        sizes, tree, path = views
-        table = EstimatorTable(
+    for i, entry in enumerate(segment.meta):
+        tables[tuple(entry["key"])] = EstimatorTable(
             name=entry["name"],
             mode=entry["mode"],
-            sizes=sizes,
-            tree_size=tree,
-            mean_path=path,
+            sizes=segment.arrays[f"{i}.sizes"],
+            tree_size=segment.arrays[f"{i}.tree_size"],
+            mean_path=segment.arrays[f"{i}.mean_path"],
             source=entry["source"],
             rel_error_bound=float(entry["rel_error_bound"]),
-            algorithm=str(entry.get("algorithm", "spt")),
+            algorithm=str(entry["algorithm"]),
         )
-        # Pin the mapping to the table (frozen dataclass: go around).
-        object.__setattr__(table, "_store_shm", shm)
-        tables[tuple(entry["key"])] = table
     return tables

@@ -46,10 +46,11 @@ from repro import faults
 from repro.faults.clock import SystemClock
 from repro.obs.registry import MetricsRegistry
 from repro.serve.app import ServerApp
-from repro.serve.fleet.store import TableStoreHandle, publish_tables
+from repro.serve.fleet.store import publish_tables
 from repro.serve.fleet.worker import FleetWorkerSpec, fleet_worker_main
 from repro.serve.handlers import EstimationService, Response, ServiceConfig
 from repro.utils.rng import ensure_rng
+from repro.utils.segment import SegmentHandle
 
 __all__ = ["FleetConfig", "FleetSupervisor", "FleetAdminService"]
 
@@ -211,7 +212,7 @@ class FleetSupervisor:
         self._rng = ensure_rng(self.config.seed)
         self._ctx = multiprocessing.get_context("spawn")
         self._workers: Dict[int, _WorkerHandle] = {}
-        self._store_handle: Optional[TableStoreHandle] = None
+        self._store_handle: Optional[SegmentHandle] = None
         self._generation = 0
         self._reserve_sock: Optional[socket.socket] = None
         self._listen_sock: Optional[socket.socket] = None

@@ -2,12 +2,32 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.experiments.pool import shutdown_pool
 from repro.graph.builders import GraphBuilder
 from repro.graph.core import Graph
 from repro.topology.kary import kary_tree
+
+SHM_DIR = Path("/dev/shm")
+
+
+def _shm_segments() -> set:
+    if not SHM_DIR.is_dir():  # pragma: no cover - non-Linux
+        return set()
+    return {p.name for p in SHM_DIR.glob("psm_*")}
+
+
+@pytest.fixture(scope="module")
+def _no_leaked_segments():
+    """Every segment this module publishes must be unlinked by the end."""
+    before = _shm_segments()
+    yield
+    shutdown_pool()
+    assert _shm_segments() - before == set()
 
 
 @pytest.fixture

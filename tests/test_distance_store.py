@@ -28,6 +28,8 @@ from repro.graph.distance_store import (
 from repro.graph.paths import bfs, distances_from
 from repro.topology.powerlaw import as_like_graph, internet_like_graph
 
+pytestmark = pytest.mark.usefixtures("_no_leaked_segments")
+
 
 @pytest.fixture(scope="module")
 def graph():
@@ -151,6 +153,38 @@ class TestGenerationAndGraphGuards:
         bogus.write_bytes(b"\x00" * 64)
         with pytest.raises(ValueError, match="distance store"):
             attach_distance_store(str(bogus))
+
+    def test_truncated_store_is_rejected(self, graph, tmp_path):
+        store = _build(graph, tmp_path, sources=[0, 1, 2])
+        data = (tmp_path / "store.dist").read_bytes()
+        cut = tmp_path / "cut.dist"
+        cut.write_bytes(data[: -4 * store.num_nodes])  # one row short
+        with pytest.raises(ValueError, match="truncated"):
+            attach_distance_store(str(cut))
+        store.close()
+
+
+class TestAtomicBuild:
+    def test_failed_build_leaves_the_directory_unchanged(
+        self, graph, tmp_path, monkeypatch
+    ):
+        kept = _build(graph, tmp_path, "kept.dist", sources=[0], generation=1)
+        kept.close()
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def failing_bfs(*args, **kwargs):
+            raise RuntimeError("injected BFS failure")
+
+        monkeypatch.setattr(
+            "repro.graph.distance_store.bfs_from_many", failing_bfs
+        )
+        # A fresh path gets no partial file; a rebuild onto an existing
+        # store leaves the old generation intact.
+        for name in ("fresh.dist", "kept.dist"):
+            with pytest.raises(RuntimeError, match="injected"):
+                _build(graph, tmp_path, name, sources=[0, 1, 2], generation=2)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        assert attach_distance_store(kept.path).generation == 1
 
 
 class TestUnlinkSemantics:

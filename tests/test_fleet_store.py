@@ -11,6 +11,7 @@ cannot land on a retired generation).
 from __future__ import annotations
 
 from multiprocessing import shared_memory
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,15 @@ from repro.serve.fleet.store import (
     publish_tables,
 )
 from repro.serve.tables import EstimatorTable, log_spaced_sizes
+
+pytestmark = pytest.mark.usefixtures("_no_leaked_segments")
+
+MAPS = Path("/proc/self/maps")
+
+
+def _still_mapped(names):
+    maps = MAPS.read_text()
+    return [name for name in names if name in maps]
 
 
 def make_table(name: str, mode: str = "distinct", *, scale: float = 1.0):
@@ -107,6 +117,51 @@ class TestPublishAttachRoundtrip:
                 attach_tables(stale)
         finally:
             handle.release()
+
+    def test_graph_segment_is_not_a_table_store(self, path_graph):
+        handle = path_graph.to_shared()
+        try:
+            impostor = TableStoreDescriptor(
+                name=handle.descriptor.name,
+                generation=0,
+                nbytes=handle.nbytes,
+            )
+            with pytest.raises(ValueError, match="table store"):
+                attach_tables(impostor)
+        finally:
+            handle.release()
+
+
+@pytest.mark.skipif(not MAPS.exists(), reason="needs /proc/self/maps")
+class TestAttachmentsUnmap:
+    def test_dropped_generations_are_unmapped(self):
+        # Each hot reload retires a generation; a worker that swapped it
+        # out must not keep it mapped.
+        names = []
+        for generation in (1, 2, 3):
+            handle = publish_tables(
+                make_tables(scale=generation), generation=generation
+            )
+            names.append(handle.descriptor.name)
+            attached = attach_tables(handle.descriptor)
+            assert len(attached) == 3
+            del attached
+            handle.release()
+        assert _still_mapped(names) == []
+
+    def test_failed_stale_attach_is_unmapped(self):
+        handle = publish_tables(make_tables(), generation=2)
+        try:
+            stale = TableStoreDescriptor(
+                name=handle.descriptor.name,
+                generation=1,
+                nbytes=handle.descriptor.nbytes,
+            )
+            with pytest.raises(ValueError, match="generation"):
+                attach_tables(stale)
+        finally:
+            handle.release()
+        assert _still_mapped([handle.descriptor.name]) == []
 
 
 class TestUnlinkSemantics:

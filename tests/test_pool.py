@@ -38,25 +38,14 @@ from repro.experiments.pool import (
 )
 from repro.experiments.runner import measure_sweep
 from repro.faults import FaultPlan, FaultSpec
-from repro.graph.core import Graph
+from repro.graph.core import Graph, SharedGraphDescriptor
+from repro.serve.fleet.store import publish_tables
+from repro.serve.tables import EstimatorTable
 from repro.topology.kary import kary_tree
 
-SHM_DIR = Path("/dev/shm")
+pytestmark = pytest.mark.usefixtures("_no_leaked_segments")
 
-
-def _shm_segments() -> set:
-    if not SHM_DIR.is_dir():  # pragma: no cover - non-Linux
-        return set()
-    return {p.name for p in SHM_DIR.glob("psm_*")}
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _no_leaked_segments():
-    """Every segment this module publishes must be unlinked by the end."""
-    before = _shm_segments()
-    yield
-    shutdown_pool()
-    assert _shm_segments() - before == set()
+MAPS = Path("/proc/self/maps")
 
 
 def _spawn_count() -> float:
@@ -118,6 +107,42 @@ class TestSharedGraph:
         handle.release()
         handle.release()
         handle.unlink()
+
+    def test_table_segment_is_not_a_graph(self):
+        table = EstimatorTable(
+            name="arpa",
+            mode="distinct",
+            sizes=np.array([1, 10]),
+            tree_size=np.array([5.0, 20.0]),
+            mean_path=np.array([5.0, 5.0]),
+            source="closed-form",
+        )
+        handle = publish_tables({("arpa", "distinct"): table}, generation=1)
+        try:
+            impostor = SharedGraphDescriptor(
+                name=handle.descriptor.name,
+                num_nodes=1,
+                num_indices=0,
+                fingerprint="0" * 40,
+            )
+            with pytest.raises(ValueError, match="csr graph"):
+                Graph.from_shared(impostor)
+        finally:
+            handle.release()
+
+    @pytest.mark.skipif(not MAPS.exists(), reason="needs /proc/self/maps")
+    def test_dropped_attachments_are_unmapped(self, binary_tree_d4):
+        tree = binary_tree_d4.graph
+        names = []
+        for _ in range(3):
+            handle = tree.to_shared()
+            names.append(handle.descriptor.name)
+            clone = Graph.from_shared(handle.descriptor)
+            assert clone.num_edges == tree.num_edges
+            del clone
+            handle.release()
+        maps = MAPS.read_text()
+        assert [name for name in names if name in maps] == []
 
 
 # ---------------------------------------------------------------------------
