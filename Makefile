@@ -7,8 +7,8 @@ PYTHON ?= python
 install:
 	pip install -e . || $(PYTHON) setup.py develop
 
-# Static invariant checks, per-file (RR001-RR010) and cross-file
-# (RR011-RR014), over the whole program.  The content-hash cache makes
+# Static invariant checks, per-file (RR001-RR010, RR015, RR016) and
+# cross-file (RR011-RR014), over the whole program.  The content-hash cache makes
 # warm runs near-instant; delete .lint-cache.json to force a cold run.
 lint:
 	PYTHONPATH=src $(PYTHON) -m repro.lint --cache .lint-cache.json src benchmarks examples

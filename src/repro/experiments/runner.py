@@ -45,7 +45,8 @@ never cached.
 from __future__ import annotations
 
 import logging
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from collections import OrderedDict
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -69,7 +70,11 @@ from repro.multicast.sampling import (
 from repro.multicast import builders
 from repro.multicast.tree import MulticastTreeCounter
 from repro.experiments.config import MonteCarloConfig
-from repro.experiments.pool import resolve_workers, run_sweep_chunks
+from repro.experiments.pool import (
+    _MAX_SEGMENTS,
+    resolve_workers,
+    run_sweep_chunks,
+)
 from repro.experiments.results import SweepMeasurement
 from repro.utils.rng import RandomState, ensure_rng
 
@@ -217,7 +222,9 @@ def _count_samples(
 #: Process-local distance-store attachments, keyed by (path, generation).
 #: Workers receive a :class:`DistanceStoreDescriptor` per task (the mmap
 #: itself never crosses the process boundary) and re-attach once here.
-_STORE_CACHE: Dict[Tuple[str, int], DistanceStore] = {}
+#: LRU-bounded like the pool's graph attachments: an evicted store's
+#: mapping dies with its last row view.
+_STORE_CACHE: "OrderedDict[Tuple[str, int], DistanceStore]" = OrderedDict()
 
 
 def _resolve_store(
@@ -230,6 +237,10 @@ def _resolve_store(
     if attached is None:
         attached = attach_distance_store(store)
         _STORE_CACHE[key] = attached
+        while len(_STORE_CACHE) > _MAX_SEGMENTS:
+            _STORE_CACHE.popitem(last=False)
+    else:
+        _STORE_CACHE.move_to_end(key)
     return attached
 
 

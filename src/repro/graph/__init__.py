@@ -45,7 +45,6 @@ from repro.graph.paths import (
     dijkstra,
     distance_matrix,
     distances_from,
-    distances_from_many,
     uniform_arc_weights,
 )
 from repro.graph.reachability import (
@@ -94,7 +93,6 @@ __all__ = [
     "dijkstra",
     "distance_matrix",
     "distances_from",
-    "distances_from_many",
     "uniform_arc_weights",
     "AveragedReachability",
     "ReachabilityProfile",

@@ -9,9 +9,9 @@ per sweep.  A :class:`DistanceStore` precomputes the rows **once** into
 a flat file and lets every consumer — samplers, estimator-table builds,
 fleet workers — map them zero-copy:
 
-* **Build once.**  :func:`build_distance_store` runs the batched
-  multi-source BFS (:func:`repro.graph.paths.bfs_from_many`) over
-  chunks of sources and writes each ``(dist, parent)`` row pair
+* **Build once.**  :func:`build_distance_store` runs the single-source
+  BFS kernel once per source (:func:`repro.graph.paths.bfs_from_many`)
+  over chunks of sources and writes each ``(dist, parent)`` row pair
   straight into the mapped file.  With ``num_workers > 1`` the chunks
   fan out over the persistent worker pool from
   :mod:`repro.experiments.pool`; the graph crosses the process boundary
@@ -308,9 +308,7 @@ def _write_rows(
     sources_chunk: Sequence[int],
 ) -> int:
     rows = len(sources_chunk)
-    dist, parent = bfs_from_many(
-        graph, sources_chunk, packed=num_nodes >= 1 << 16
-    )
+    dist, parent = bfs_from_many(graph, sources_chunk)
     for name, block in (("dist", dist), ("parent", parent)):
         if name not in offsets:
             continue

@@ -2,8 +2,10 @@
 
 Everything the paper measures — multicast tree sizes ``L(m)``, unicast path
 lengths ``ū``, reachability profiles ``S(r)`` — derives from single-source
-shortest paths on unweighted graphs, so the level-synchronous vectorized
-BFS in :func:`bfs` is the hottest code path in the repository.
+shortest paths on unweighted graphs, so the one level-synchronous
+vectorized BFS kernel — behind :func:`bfs`, :func:`distances_from`,
+:func:`bfs_from_many` and :func:`multi_source_bfs` alike — is the hottest
+code path in the repository.
 
 Shortest-path *trees* are not unique on graphs with equal-cost multipaths.
 The ``tie_break`` policy selects among them:
@@ -37,7 +39,6 @@ __all__ = [
     "bfs_from_many",
     "multi_source_bfs",
     "distances_from",
-    "distances_from_many",
     "distance_matrix",
     "dijkstra",
     "uniform_arc_weights",
@@ -133,6 +134,45 @@ def _gather_frontier_arcs(
     return indices[flat], np.repeat(frontier, counts)
 
 
+def _levels(graph: Graph, seeds, generator=None):
+    """The one BFS kernel: level-synchronous search whose level 0 is ``seeds``.
+
+    Returns int32 ``(dist, parent)``.  Among equal-distance candidate
+    parents the one reached earliest in (frontier-order, adjacency-order)
+    wins — ``np.unique(..., return_index=True)`` sorts stably, so its
+    first index is the first arc — unless ``generator`` shuffles each
+    level's arcs first (``tie_break="random"``).  Seeds must be valid,
+    unique node ids; their order is the level-0 frontier order.
+    """
+    n = graph.num_nodes
+    dist = np.full(n, -1, dtype=np.int32)
+    parent = np.full(n, -1, dtype=np.int32)
+    frontier = np.asarray(seeds, dtype=np.int32)
+    dist[frontier] = 0
+    indptr, indices = graph.indptr, graph.indices
+
+    level = 0
+    while frontier.size:
+        level += 1
+        neighbours, parents = _gather_frontier_arcs(indptr, indices, frontier)
+        if neighbours.size == 0:
+            break
+        fresh = dist[neighbours] < 0
+        neighbours = neighbours[fresh]
+        parents = parents[fresh]
+        if neighbours.size == 0:
+            break
+        if generator is not None:
+            order = generator.permutation(neighbours.size)
+            neighbours = neighbours[order]
+            parents = parents[order]
+        uniq, first_index = np.unique(neighbours, return_index=True)
+        dist[uniq] = level
+        parent[uniq] = parents[first_index]
+        frontier = uniq.astype(np.int32)
+    return dist, parent
+
+
 def bfs(
     graph: Graph,
     source: int,
@@ -163,212 +203,25 @@ def bfs(
         )
     source = graph.check_node(source)
     generator = ensure_rng(rng) if tie_break == "random" else None
-
-    n = graph.num_nodes
-    dist = np.full(n, -1, dtype=np.int32)
-    parent = np.full(n, -1, dtype=np.int32)
-    dist[source] = 0
-    frontier = np.asarray([source], dtype=np.int32)
-    indptr, indices = graph.indptr, graph.indices
-
-    level = 0
-    while frontier.size:
-        level += 1
-        neighbours, parents = _gather_frontier_arcs(indptr, indices, frontier)
-        if neighbours.size == 0:
-            break
-        fresh = dist[neighbours] < 0
-        neighbours = neighbours[fresh]
-        parents = parents[fresh]
-        if neighbours.size == 0:
-            break
-        if generator is not None:
-            order = generator.permutation(neighbours.size)
-            neighbours = neighbours[order]
-            parents = parents[order]
-        uniq, first_index = np.unique(neighbours, return_index=True)
-        dist[uniq] = level
-        parent[uniq] = parents[first_index]
-        frontier = uniq.astype(np.int32)
+    dist, parent = _levels(graph, [source], generator)
     return ShortestPathForest(source=source, dist=dist, parent=parent)
 
 
-#: Per-bit masks for the packed visited representation.
-_BIT_MASKS = np.left_shift(
-    np.ones(8, dtype=np.uint8), np.arange(8, dtype=np.uint8)
-)
+def bfs_from_many(graph: Graph, sources: Sequence[int]):
+    """BFS forests from many sources: ``(dist, parent)`` matrices.
 
-
-def _gather_many_arcs(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    fsrc: np.ndarray,
-    fnode: np.ndarray,
-):
-    """All (neighbour, frontier-parent, source-row) arc triples leaving a
-    concatenated multi-source frontier."""
-    starts = indptr[fnode]
-    counts = indptr[fnode + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return (
-            np.empty(0, dtype=indices.dtype),
-            np.empty(0, dtype=fnode.dtype),
-            np.empty(0, dtype=np.int64),
-        )
-    cum = np.cumsum(counts)
-    flat = np.arange(total, dtype=np.int64) - np.repeat(cum - counts, counts)
-    flat += np.repeat(starts, counts)
-    return indices[flat], np.repeat(fnode, counts), np.repeat(fsrc, counts)
-
-
-def _many_bfs(
-    graph: Graph,
-    sources: Sequence[int],
-    want_parents: bool,
-    packed: bool,
-    source_groups: Optional[Sequence[np.ndarray]] = None,
-):
-    """Level-synchronous BFS from many sources at once.
-
-    The frontier is the concatenation of every source's frontier in
-    source-major order, deduplicated on the flattened key
-    ``source_row * num_nodes + node`` — so within each row the visit
-    order (frontier-order, adjacency-order) and therefore the distances
-    *and* the ``tie_break="first"`` parent choices are bit-identical to
-    running :func:`bfs` on that source alone.
-
-    When ``source_groups`` is given, each entry seeds one row with a
-    whole *set* of level-0 nodes (``sources`` is then ignored): the row
-    behaves like a BFS from a virtual super-source attached to every
-    seed.  A singleton group is bit-identical to the plain per-source
-    row — the seeding arrays are the same — which is how
-    :func:`multi_source_bfs` rides on this machinery.  Groups must be
-    validated (sorted unique in-range node ids) by the caller.
-
-    With ``packed=True`` the visited test reads a bit-packed
-    ``uint8 (S, ceil(n/8))`` mask instead of the int32 distance matrix —
-    an 8th of the memory traffic per test on million-node rows — without
-    changing any output byte.
+    Shape ``(len(sources), num_nodes)`` int32, one row per source, each
+    row bit-identical to ``bfs(graph, s, tie_break="first")`` (``-1``
+    for unreachable nodes).  This is what
+    :class:`repro.graph.distance_store.DistanceStore` builds its mmap
+    rows from.
     """
-    n = graph.num_nodes
-    if source_groups is None:
-        seed_nodes = np.asarray(
-            [graph.check_node(s) for s in sources], dtype=np.int32
-        )
-        num_rows = seed_nodes.shape[0]
-        seed_rows = np.arange(num_rows, dtype=np.int64)
-    else:
-        num_rows = len(source_groups)
-        seed_nodes = (
-            np.concatenate([
-                np.asarray(group, dtype=np.int32) for group in source_groups
-            ])
-            if num_rows
-            else np.empty(0, dtype=np.int32)
-        )
-        seed_rows = (
-            np.repeat(
-                np.arange(num_rows, dtype=np.int64),
-                [len(group) for group in source_groups],
-            )
-            if num_rows
-            else np.empty(0, dtype=np.int64)
-        )
-    dist = np.full((num_rows, n), -1, dtype=np.int32)
-    parent = (
-        np.full((num_rows, n), -1, dtype=np.int32) if want_parents else None
-    )
-    if num_rows == 0:
-        return dist, parent
-    dist[seed_rows, seed_nodes] = 0
-    dist_flat = dist.reshape(-1)
-    parent_flat = parent.reshape(-1) if want_parents else None
-
-    row_bytes = (n + 7) >> 3
-    bits_flat = None
-    if packed:
-        bits_flat = np.zeros(num_rows * row_bytes, dtype=np.uint8)
-        np.bitwise_or.at(
-            bits_flat,
-            seed_rows * row_bytes + (seed_nodes >> 3),
-            _BIT_MASKS[seed_nodes & 7],
-        )
-
-    fsrc = seed_rows
-    fnode = seed_nodes
-    indptr, indices = graph.indptr, graph.indices
-    level = 0
-    while fnode.size:
-        level += 1
-        neighbours, parents, nsrc = _gather_many_arcs(
-            indptr, indices, fsrc, fnode
-        )
-        if neighbours.size == 0:
-            break
-        if packed:
-            fresh = (
-                bits_flat[nsrc * row_bytes + (neighbours >> 3)]
-                & _BIT_MASKS[neighbours & 7]
-            ) == 0
-        else:
-            fresh = dist_flat[nsrc * n + neighbours] < 0
-        neighbours = neighbours[fresh]
-        nsrc = nsrc[fresh]
-        if want_parents:
-            parents = parents[fresh]
-        if neighbours.size == 0:
-            break
-        uniq, first_index = np.unique(
-            nsrc * n + neighbours, return_index=True
-        )
-        dist_flat[uniq] = level
-        if want_parents:
-            parent_flat[uniq] = parents[first_index]
-        fsrc = uniq // n
-        fnode = (uniq % n).astype(np.int32)
-        if packed:
-            np.bitwise_or.at(
-                bits_flat,
-                fsrc * row_bytes + (fnode >> 3),
-                _BIT_MASKS[fnode & 7],
-            )
+    nodes = [graph.check_node(s) for s in sources]
+    dist = np.empty((len(nodes), graph.num_nodes), dtype=np.int32)
+    parent = np.empty_like(dist)
+    for row, source in enumerate(nodes):
+        dist[row], parent[row] = _levels(graph, [source])
     return dist, parent
-
-
-def distances_from_many(
-    graph: Graph,
-    sources: Sequence[int],
-    *,
-    packed: bool = False,
-) -> np.ndarray:
-    """Hop distances from many sources in one batched frontier sweep.
-
-    Returns shape ``(len(sources), num_nodes)`` int32; row ``i`` is
-    bit-identical to ``distances_from(graph, sources[i])`` (``-1`` rows
-    for unreachable nodes, including on disconnected graphs).  With
-    ``packed=True`` the visited test runs over bit-packed masks — same
-    output, lower memory traffic on million-node graphs.
-    """
-    dist, _ = _many_bfs(graph, sources, want_parents=False, packed=packed)
-    return dist
-
-
-def bfs_from_many(
-    graph: Graph,
-    sources: Sequence[int],
-    *,
-    packed: bool = False,
-):
-    """Batched BFS forests: ``(dist, parent)`` matrices, one row per source.
-
-    Each row is bit-identical to ``bfs(graph, s, tie_break="first")`` —
-    among equal-distance parents, the earliest in (frontier-order,
-    adjacency-order) wins, exactly as in the single-source code.  This
-    is what :class:`repro.graph.distance_store.DistanceStore` builds
-    its mmap rows from.
-    """
-    return _many_bfs(graph, sources, want_parents=True, packed=packed)
 
 
 def multi_source_bfs(graph: Graph, seeds: Sequence[int]):
@@ -377,42 +230,20 @@ def multi_source_bfs(graph: Graph, seeds: Sequence[int]):
     Returns 1-D ``(dist, parent)`` arrays: ``dist[v]`` is the hop
     distance from ``v`` to the nearest seed, and following ``parent``
     pointers from any reachable node terminates at some seed (whose
-    parent is ``-1``).  This is :func:`bfs_from_many`'s frontier
-    machinery seeded with one multi-node row, so the visit order —
-    and hence every parent choice — matches a level-synchronous BFS
-    whose level 0 is the sorted unique seed set.
+    parent is ``-1``).  Level 0 is the sorted unique seed set, so every
+    parent choice matches :func:`bfs`'s ``tie_break="first"`` rule.
     """
     seed = np.unique(np.asarray(list(seeds), dtype=np.int64))
     if seed.size == 0:
         raise GraphError("multi-source BFS needs at least one seed")
     for node in seed:
         graph.check_node(int(node))
-    dist, parent = _many_bfs(
-        graph, (), want_parents=True, packed=False, source_groups=[seed]
-    )
-    return dist[0], parent[0]
+    return _levels(graph, seed)
 
 
 def distances_from(graph: Graph, source: int) -> np.ndarray:
-    """Hop distances from ``source`` only (skips parent bookkeeping)."""
-    source = graph.check_node(source)
-    n = graph.num_nodes
-    dist = np.full(n, -1, dtype=np.int32)
-    dist[source] = 0
-    frontier = np.asarray([source], dtype=np.int32)
-    indptr, indices = graph.indptr, graph.indices
-    level = 0
-    while frontier.size:
-        level += 1
-        neighbours, _ = _gather_frontier_arcs(indptr, indices, frontier)
-        if neighbours.size == 0:
-            break
-        fresh = np.unique(neighbours[dist[neighbours] < 0])
-        if fresh.size == 0:
-            break
-        dist[fresh] = level
-        frontier = fresh.astype(np.int32)
-    return dist
+    """Hop distances from ``source`` (``-1`` for unreachable nodes)."""
+    return _levels(graph, [graph.check_node(source)])[0]
 
 
 def distance_matrix(

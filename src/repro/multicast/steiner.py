@@ -43,9 +43,10 @@ def multi_source_distances(
     −1).
 
     Thin wrapper over :func:`repro.graph.paths.multi_source_bfs` — the
-    batched frontier machinery the distance store builds from — kept
-    for the sampling-layer error contract (an empty source set is a
-    :class:`SamplingError` here) and for backward compatibility.
+    same BFS kernel as :func:`repro.graph.paths.bfs`, seeded with the
+    whole source set at level 0 — kept for the sampling-layer error
+    contract (an empty source set is a :class:`SamplingError` here) and
+    for backward compatibility.
     """
     seed = np.unique(np.asarray(list(sources), dtype=np.int64))
     if seed.size == 0:

@@ -117,6 +117,18 @@ class TestBuildAttachRoundtrip:
         with pytest.raises(GraphError, match="unique"):
             _build(graph, tmp_path, sources=[1, 1, 2])
 
+    def test_rows_match_bfs_past_65536_nodes(self, tmp_path):
+        big = internet_like_graph(70_000, rng=5, stream="vectorized")
+        assert big.num_nodes >= 1 << 16
+        sources = [0, big.num_nodes // 2, big.num_nodes - 1]
+        store = _build(big, tmp_path, sources=sources)
+        for source in sources:
+            forest = bfs(big, source)
+            row_forest = store.forest(source)
+            assert np.array_equal(row_forest.dist, forest.dist)
+            assert np.array_equal(row_forest.parent, forest.parent)
+        store.close()
+
 
 class TestGenerationAndGraphGuards:
     def test_stale_generation_is_rejected(self, graph, tmp_path):
@@ -288,6 +300,24 @@ class TestRunnerIntegration:
         with pytest.raises(ExperimentError, match="parent"):
             measure_sweep(graph, [1], config=config, distance_store=store)
         store.close()
+
+    def test_runner_store_cache_evicts_old_attachments(self, graph, tmp_path):
+        maps = "/proc/self/maps"
+        if not os.path.exists(maps):
+            pytest.skip("needs /proc/self/maps")
+        config = MonteCarloConfig(num_sources=2, num_receiver_sets=2, seed=1)
+        paths = []
+        for i in range(9):
+            store = _build(graph, tmp_path, f"lru{i}.dist", sources=[i, i + 1])
+            paths.append(store.path)
+            measure_sweep(
+                graph, [1, 2], config=config, distance_store=store.descriptor
+            )
+            store.close()
+        with open(maps, encoding="utf-8") as handle:
+            mapped = handle.read()
+        assert paths[0] not in mapped
+        assert paths[-1] in mapped
 
 
 class TestServeIntegration:

@@ -180,11 +180,18 @@ class TestRetargetedMultiSourceBfs:
             frontier = uniq.astype(np.int32)
         return dist, parent
 
-    @pytest.mark.parametrize("name", ["arpa", "r100", "mbone", "as"])
+    @pytest.mark.parametrize(
+        "name", ["arpa", "r100", "mbone", "as", "internet-70k"]
+    )
     def test_bit_identical_to_the_old_loop(self, name):
+        from repro.topology.powerlaw import internet_like_graph
         from repro.topology.registry import build_topology
 
-        graph = build_topology(name, scale=0.25, rng=5)
+        if name == "internet-70k":
+            # Past 2**16 nodes, where the store build once switched modes.
+            graph = internet_like_graph(70_000, rng=5, stream="vectorized")
+        else:
+            graph = build_topology(name, scale=0.25, rng=5)
         rng = np.random.default_rng(41)
         for trial in range(5):
             k = int(rng.integers(1, 6))

@@ -1,11 +1,11 @@
-"""Multi-source BFS equivalence: batched rows vs the single-source code.
+"""Multi-source BFS equivalence: per-source rows vs the single-source code.
 
-``distances_from_many`` / ``bfs_from_many`` (plain and bit-packed) must
-be *bit-identical* per row to ``distances_from`` / ``bfs`` — distances
-and ``tie_break="first"`` parents both — across every topology builder
-in the registry, plus the degenerate shapes the batching could plausibly
-get wrong: disconnected graphs (``-1`` rows), isolated sources, the
-single-node graph, duplicate sources, and the empty source list.
+``bfs_from_many`` must be *bit-identical* per row to ``distances_from``
+/ ``bfs`` — distances and ``tie_break="first"`` parents both — across
+every topology builder in the registry, plus the degenerate shapes the
+row matrices could plausibly get wrong: disconnected graphs (``-1``
+rows), isolated sources, the single-node graph, duplicate sources, and
+the empty source list.
 """
 
 from __future__ import annotations
@@ -14,12 +14,7 @@ import numpy as np
 import pytest
 
 from repro.graph.core import Graph
-from repro.graph.paths import (
-    bfs,
-    bfs_from_many,
-    distances_from,
-    distances_from_many,
-)
+from repro.graph.paths import bfs, bfs_from_many, distances_from
 from repro.topology.registry import (
     EXTRA_TOPOLOGIES,
     TOPOLOGY_NAMES,
@@ -30,10 +25,8 @@ ALL_BUILDERS = tuple(TOPOLOGY_NAMES) + tuple(EXTRA_TOPOLOGIES)
 
 
 def _assert_rows_match(graph: Graph, sources) -> None:
-    plain = distances_from_many(graph, sources)
-    packed = distances_from_many(graph, sources, packed=True)
+    plain = bfs_from_many(graph, sources)[0]
     dist_m, parent_m = bfs_from_many(graph, sources)
-    dist_p, parent_p = bfs_from_many(graph, sources, packed=True)
     assert plain.dtype == np.int32 and plain.shape == (
         len(sources),
         graph.num_nodes,
@@ -42,11 +35,8 @@ def _assert_rows_match(graph: Graph, sources) -> None:
         expected_dist = distances_from(graph, source)
         forest = bfs(graph, source, tie_break="first")
         assert np.array_equal(plain[i], expected_dist)
-        assert np.array_equal(packed[i], expected_dist)
         assert np.array_equal(dist_m[i], forest.dist)
-        assert np.array_equal(dist_p[i], forest.dist)
         assert np.array_equal(parent_m[i], forest.parent)
-        assert np.array_equal(parent_p[i], forest.parent)
 
 
 @pytest.mark.parametrize("name", ALL_BUILDERS)
@@ -59,7 +49,7 @@ def test_equivalence_across_topology_builders(name):
 def test_disconnected_graph_has_minus_one_rows(disconnected_graph):
     sources = list(range(disconnected_graph.num_nodes))
     _assert_rows_match(disconnected_graph, sources)
-    dist = distances_from_many(disconnected_graph, sources, packed=True)
+    dist = bfs_from_many(disconnected_graph, sources)[0]
     # Component structure: {0,1,2} triangle, {3,4} edge, {5} isolated.
     assert (dist[0, 3:] == -1).all()
     assert (dist[3, :3] == -1).all() and (dist[3, 5] == -1)
@@ -69,19 +59,19 @@ def test_disconnected_graph_has_minus_one_rows(disconnected_graph):
 def test_single_node_graph():
     graph = Graph.from_edges(1, [])
     _assert_rows_match(graph, [0])
-    assert distances_from_many(graph, [0])[0, 0] == 0
+    assert bfs_from_many(graph, [0])[0][0, 0] == 0
 
 
 def test_duplicate_sources_give_identical_rows():
     graph = build_topology("as", scale=0.2, rng=3)
-    dist = distances_from_many(graph, [7, 7, 7], packed=True)
+    dist = bfs_from_many(graph, [7, 7, 7])[0]
     assert np.array_equal(dist[0], dist[1])
     assert np.array_equal(dist[1], dist[2])
 
 
 def test_empty_source_list():
     graph = Graph.from_edges(3, [(0, 1), (1, 2)])
-    dist = distances_from_many(graph, [])
+    dist = bfs_from_many(graph, [])[0]
     assert dist.shape == (0, 3)
     dist_m, parent_m = bfs_from_many(graph, [])
     assert dist_m.shape == (0, 3) and parent_m.shape == (0, 3)
@@ -90,7 +80,7 @@ def test_empty_source_list():
 def test_bad_source_rejected():
     graph = Graph.from_edges(3, [(0, 1), (1, 2)])
     with pytest.raises(Exception):
-        distances_from_many(graph, [0, 3])
+        bfs_from_many(graph, [0, 3])[0]
 
 
 def test_many_sources_batched_vs_serial_on_powerlaw():
