@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install lint lint-changed lint-smoke test test-fast bench bench-smoke builders-smoke serve-smoke chaos-smoke obs-smoke fleet-smoke scale-smoke regen-golden repro examples clean
+.PHONY: install lint lint-changed lint-smoke test test-fast bench bench-smoke builders-smoke serve-smoke chaos-smoke obs-smoke fleet-smoke scale-smoke regen-golden repro repro-paper examples clean
 
 install:
 	pip install -e . || $(PYTHON) setup.py develop

@@ -15,7 +15,7 @@ profiles computed from it can be cached safely by callers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -110,10 +110,10 @@ class Graph:
         :func:`repro.graph.ops.clean_edges` first when reading data that
         may contain them (the paper's TIERS topologies famously do).
         """
-        edge_list = list(edges)
+        edge_list = edges if isinstance(edges, np.ndarray) else list(edges)
         if num_nodes < 0:
             raise GraphError(f"num_nodes must be non-negative, got {num_nodes}")
-        if not edge_list:
+        if len(edge_list) == 0:
             indptr = np.zeros(num_nodes + 1, dtype=np.int64)
             return cls(num_nodes, indptr, np.empty(0, dtype=np.int32), check=False)
 
@@ -354,12 +354,16 @@ class Graph:
             self.check_node(int(node))
         old_to_new = -np.ones(self._num_nodes, dtype=np.int64)
         old_to_new[keep] = np.arange(keep.size, dtype=np.int64)
-        edges: List[Tuple[int, int]] = []
-        for new_u, old_u in enumerate(keep):
-            for old_v in self.neighbors(int(old_u)):
-                new_v = old_to_new[old_v]
-                if new_v >= 0 and new_u < new_v:
-                    edges.append((new_u, int(new_v)))
+        # Imported here: paths depends on this module's Graph.
+        from repro.graph.paths import _gather_frontier_arcs
+
+        # Every arc leaving a kept node, straight out of the CSR arrays;
+        # each surviving edge is kept once, from its lower new endpoint.
+        old_v, old_u = _gather_frontier_arcs(self._indptr, self._indices, keep)
+        new_u = old_to_new[old_u]
+        new_v = old_to_new[old_v]
+        inside = new_u < new_v  # also drops arcs to dropped nodes (-1)
+        edges = np.stack([new_u[inside], new_v[inside]], axis=1)
         return Graph.from_edges(keep.size, edges), keep
 
     def with_extra_edges(self, extra: Iterable[Tuple[int, int]]) -> "Graph":

@@ -9,6 +9,8 @@ then assumed to be bi-directional" — :func:`clean_edges` +
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -16,6 +18,7 @@ import numpy as np
 
 from repro.exceptions import DisconnectedGraphError, GraphError
 from repro.graph.core import Graph
+from repro.graph.forest_cache import _FINGERPRINT_MEMO_MAX, graph_fingerprint
 from repro.graph.paths import distances_from
 from repro.utils.rng import RandomState, ensure_rng
 
@@ -29,6 +32,11 @@ __all__ = [
     "GraphStats",
     "graph_stats",
 ]
+
+# connectivity memo: graph fingerprint -> is_connected answer, LRU-bounded
+# like the fingerprint memo it keys on.
+_CONNECTED_MEMO: "OrderedDict[str, bool]" = OrderedDict()
+_CONNECTED_LOCK = threading.Lock()
 
 
 def clean_edges(
@@ -62,18 +70,27 @@ def clean_edges(
 
 
 def connected_components(graph: Graph) -> List[np.ndarray]:
-    """Connected components, largest first; each is a sorted node array."""
-    n = graph.num_nodes
-    label = np.full(n, -1, dtype=np.int64)
+    """Connected components, largest first; each is a sorted node array.
+
+    Components of equal size come in order of their smallest node.  Only
+    nodes with an edge need a BFS: every degree-0 node is its own
+    component, and those singletons are the only size-1 components, so
+    they close the list in node order.
+    """
+    degrees = graph.degrees
+    seen = np.zeros(graph.num_nodes, dtype=bool)
     components: List[np.ndarray] = []
-    for start in range(n):
-        if label[start] >= 0:
+    for start in np.flatnonzero(degrees > 0).tolist():
+        if seen[start]:
             continue
-        dist = distances_from(graph, start)
-        members = np.flatnonzero(dist >= 0)
-        label[members] = len(components)
+        members = np.flatnonzero(distances_from(graph, start) >= 0)
+        seen[members] = True
         components.append(members)
     components.sort(key=len, reverse=True)
+    components.extend(
+        np.array([node], dtype=np.intp)
+        for node in np.flatnonzero(degrees == 0).tolist()
+    )
     return components
 
 
@@ -93,10 +110,34 @@ def largest_connected_component(graph: Graph) -> Tuple[Graph, np.ndarray]:
 
 
 def is_connected(graph: Graph) -> bool:
-    """Whether the graph is connected (the empty graph is not)."""
+    """Whether the graph is connected (the empty graph is not).
+
+    The answer is memoized per :func:`graph_fingerprint` — the content
+    key :class:`~repro.graph.forest_cache.ForestCache` and
+    ``DistanceStore.check_graph`` already trust — so the BFS runs once
+    per graph content, not once per call: a :class:`Graph`'s CSR arrays
+    are read-only, so its answer cannot change, and an equal-content
+    copy shares it.  Both answers are cached.  The memo holds at most
+    as many entries as the fingerprint memo and drops the least recently
+    used first.
+    """
     if graph.num_nodes == 0:
         return False
-    return int(np.count_nonzero(distances_from(graph, 0) >= 0)) == graph.num_nodes
+    key = graph_fingerprint(graph)
+    with _CONNECTED_LOCK:
+        known = _CONNECTED_MEMO.get(key)
+        if known is not None:
+            _CONNECTED_MEMO.move_to_end(key)
+            return known
+    connected = (
+        int(np.count_nonzero(distances_from(graph, 0) >= 0)) == graph.num_nodes
+    )
+    with _CONNECTED_LOCK:
+        _CONNECTED_MEMO[key] = connected
+        _CONNECTED_MEMO.move_to_end(key)
+        while len(_CONNECTED_MEMO) > _FINGERPRINT_MEMO_MAX:
+            _CONNECTED_MEMO.popitem(last=False)
+    return connected
 
 
 def require_connected(graph: Graph, context: str = "operation") -> None:

@@ -5,7 +5,10 @@ lengths ``ū``, reachability profiles ``S(r)`` — derives from single-source
 shortest paths on unweighted graphs, so the one level-synchronous
 vectorized BFS kernel — behind :func:`bfs`, :func:`distances_from`,
 :func:`bfs_from_many` and :func:`multi_source_bfs` alike — is the hottest
-code path in the repository.
+code path in the repository.  Each level dedupes its arcs without a
+sort: every fresh neighbour is claimed by the lowest arc position that
+reaches it (``np.minimum.at``), which elects the same first arc a
+stable sort would.
 
 Shortest-path *trees* are not unique on graphs with equal-cost multipaths.
 The ``tie_break`` policy selects among them:
@@ -139,10 +142,22 @@ def _levels(graph: Graph, seeds, generator=None):
 
     Returns int32 ``(dist, parent)``.  Among equal-distance candidate
     parents the one reached earliest in (frontier-order, adjacency-order)
-    wins — ``np.unique(..., return_index=True)`` sorts stably, so its
-    first index is the first arc — unless ``generator`` shuffles each
-    level's arcs first (``tie_break="random"``).  Seeds must be valid,
-    unique node ids; their order is the level-0 frontier order.
+    wins, unless ``generator`` shuffles each level's arcs first
+    (``tie_break="random"``, where the first arc in permuted order wins).
+    Seeds must be valid, unique node ids; their order is the level-0
+    frontier order.
+
+    Each level elects its first arcs with a claim instead of a sort: the
+    ``k`` fresh arcs are numbered ``0..k-1``, every target's ``parent``
+    slot is set to ``k``, and ``np.minimum.at`` lowers it to the smallest
+    arc number that reaches the target, so an arc wins exactly when its
+    target holds its number.  ``minimum.at`` is defined for repeated
+    indices; a plain fancy-index scatter is not (numpy does not promise
+    which of several writes to one slot lands).  ``parent`` can hold the
+    claim because every claimed node's parent is overwritten in the same
+    level.  The next frontier is the sorted winner set, exactly what
+    ``np.unique`` would return.  ``k`` must fit in int32, which holds
+    for any graph whose arc count does.
     """
     n = graph.num_nodes
     dist = np.full(n, -1, dtype=np.int32)
@@ -166,10 +181,14 @@ def _levels(graph: Graph, seeds, generator=None):
             order = generator.permutation(neighbours.size)
             neighbours = neighbours[order]
             parents = parents[order]
-        uniq, first_index = np.unique(neighbours, return_index=True)
-        dist[uniq] = level
-        parent[uniq] = parents[first_index]
-        frontier = uniq.astype(np.int32)
+        arc = np.arange(neighbours.size, dtype=np.int32)
+        parent[neighbours] = neighbours.size
+        np.minimum.at(parent, neighbours, arc)
+        winner = parent[neighbours] == arc
+        claimed = neighbours[winner]
+        dist[claimed] = level
+        parent[claimed] = parents[winner]
+        frontier = np.sort(claimed)
     return dist, parent
 
 

@@ -20,7 +20,7 @@ size of the tree they count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,15 +54,19 @@ class MulticastTreeCounter:
         self._parent = forest.parent
         self._dist = forest.dist
         self._source = forest.source
-        self._stamp = np.zeros(forest.num_nodes, dtype=np.int64)
+        # The scalar walks' visited stamps, allocated on first use: the
+        # batched walk never reads them.
+        self._stamp: Optional[np.ndarray] = None
         self._epoch = 0
         # Per-set stamps for the batched walk, lazily sized to the largest
         # (num_sets x num_nodes) request seen so far; claim is the
         # same-shaped scratch electing one walker per (set, node).  Both
-        # are int32, as is the parent copy the walk gathers from — the
+        # are int32, as is the parent array the walk gathers from — the
         # batched walk is memory-bound, so half-width state is a real win.
-        self._parent32 = forest.parent.astype(np.int32)
-        self._dist32 = forest.dist.astype(np.int32)
+        # BFS forests and store rows are int32 already, and the walk only
+        # reads them, so no copy is taken.
+        self._parent32 = forest.parent.astype(np.int32, copy=False)
+        self._dist32 = forest.dist.astype(np.int32, copy=False)
         self._batch_stamp: np.ndarray = np.empty(0, dtype=np.int32)
         self._batch_claim: np.ndarray = np.empty(0, dtype=np.int32)
         self._batch_epoch = 0
@@ -82,6 +86,11 @@ class MulticastTreeCounter:
         """The multicast source."""
         return self._source
 
+    def _visited_stamps(self) -> np.ndarray:
+        if self._stamp is None:
+            self._stamp = np.zeros(self._dist.shape[0], dtype=np.int64)
+        return self._stamp
+
     def tree_size(self, receivers: Sequence[int]) -> int:
         """Number of links in the delivery tree for ``receivers``.
 
@@ -91,7 +100,7 @@ class MulticastTreeCounter:
         """
         self._epoch += 1
         epoch = self._epoch
-        stamp = self._stamp
+        stamp = self._visited_stamps()
         parent = self._parent
         dist = self._dist
         source = self._source
@@ -112,7 +121,7 @@ class MulticastTreeCounter:
         """All nodes of the delivery tree (including the source), sorted."""
         self._epoch += 1
         epoch = self._epoch
-        stamp = self._stamp
+        stamp = self._visited_stamps()
         parent = self._parent
         dist = self._dist
         source = self._source

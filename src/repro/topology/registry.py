@@ -27,7 +27,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.exceptions import TopologyError
 from repro.graph.core import Graph
-from repro.graph.ops import largest_connected_component
+from repro.graph.ops import is_connected, largest_connected_component
 from repro.topology.arpanet import arpanet
 from repro.topology.gtitm import TransitStubParams, pure_random_graph, transit_stub_graph
 from repro.topology.mbone import mbone_like_graph
@@ -229,9 +229,11 @@ def build_topology(
             f"{', '.join((*TOPOLOGY_NAMES, *EXTRA_TOPOLOGIES))}"
         )
     graph = _SPECS[key].build(scale=scale, rng=ensure_rng(rng))
-    # Belt and braces: experiments assume connectivity.
-    lcc, _ = largest_connected_component(graph)
-    return lcc if lcc.num_nodes < graph.num_nodes else graph
+    # Belt and braces: experiments assume connectivity.  The check also
+    # seeds the connectivity memo for the sweeps that follow.
+    if is_connected(graph):
+        return graph
+    return largest_connected_component(graph)[0]
 
 
 def build_suite(

@@ -175,3 +175,55 @@ class TestValidation:
             path_graph.indptr[0] = 7
         with pytest.raises(ValueError):
             path_graph.indices[0] = 7
+
+
+def _loop_subgraph(graph, nodes):
+    """``Graph.subgraph`` as it was before the CSR gather: a Python loop
+    over every kept node's arcs.  The reference the gather must match."""
+    keep = np.asarray(list(nodes), dtype=np.int64)
+    old_to_new = -np.ones(graph.num_nodes, dtype=np.int64)
+    old_to_new[keep] = np.arange(keep.size, dtype=np.int64)
+    edges = []
+    for new_u, old_u in enumerate(keep):
+        for old_v in graph.neighbors(int(old_u)):
+            new_v = old_to_new[old_v]
+            if new_v >= 0 and new_u < new_v:
+                edges.append((new_u, int(new_v)))
+    return Graph.from_edges(keep.size, edges), keep
+
+
+class TestVectorizedSubgraph:
+    @staticmethod
+    def _assert_same(graph, nodes):
+        sub, mapping = graph.subgraph(nodes)
+        ref, ref_mapping = _loop_subgraph(graph, nodes)
+        assert sub.num_nodes == ref.num_nodes
+        assert np.array_equal(sub.indptr, ref.indptr)
+        assert np.array_equal(sub.indices, ref.indices)
+        assert sub.indptr.dtype == ref.indptr.dtype
+        assert sub.indices.dtype == ref.indices.dtype
+        assert np.array_equal(mapping, ref_mapping)
+
+    @pytest.mark.parametrize("name", ["arpa", "r100", "ts1000"])
+    def test_matches_the_loop_on_random_keep_orders(self, name):
+        from repro.topology.registry import build_topology
+
+        graph = build_topology(name, scale=0.5, rng=2)
+        rng = np.random.default_rng(17)
+        for size in (graph.num_nodes, graph.num_nodes // 2, 7):
+            keep = rng.permutation(graph.num_nodes)[:size]
+            self._assert_same(graph, keep.tolist())
+
+    def test_empty_and_single_node(self, cycle_graph):
+        self._assert_same(cycle_graph, [])
+        self._assert_same(cycle_graph, [4])
+        sub, mapping = cycle_graph.subgraph([])
+        assert sub.num_nodes == 0 and mapping.size == 0
+
+    def test_errors_survive(self, cycle_graph):
+        with pytest.raises(GraphError, match="duplicates"):
+            cycle_graph.subgraph([2, 1, 2])
+        with pytest.raises(NodeError):
+            cycle_graph.subgraph([1, -1])
+        with pytest.raises(NodeError):
+            cycle_graph.subgraph([6])

@@ -203,3 +203,139 @@ class TestUniformArcWeights:
     def test_rejects_nonpositive(self, cycle_graph):
         with pytest.raises(GraphError):
             uniform_arc_weights(cycle_graph, 0.0)
+
+
+def _unique_levels(graph, seeds, generator=None):
+    """The level loop as it was before the claim election: each level's
+    first arcs come from ``np.unique(..., return_index=True)``'s stable
+    sort.  Kept verbatim as the reference the kernel must match bit for
+    bit."""
+    n = graph.num_nodes
+    dist = np.full(n, -1, dtype=np.int32)
+    parent = np.full(n, -1, dtype=np.int32)
+    frontier = np.asarray(seeds, dtype=np.int32)
+    dist[frontier] = 0
+    indptr, indices = graph.indptr, graph.indices
+    level = 0
+    while frontier.size:
+        level += 1
+        starts = indptr[frontier]
+        counts = indptr[frontier + 1] - starts
+        total = int(counts.sum())
+        if total == 0:
+            break
+        cum = np.cumsum(counts)
+        flat = np.arange(total, dtype=np.int64) - np.repeat(cum - counts, counts)
+        flat += np.repeat(starts, counts)
+        neighbours = indices[flat]
+        parents = np.repeat(frontier, counts)
+        fresh = dist[neighbours] < 0
+        neighbours = neighbours[fresh]
+        parents = parents[fresh]
+        if neighbours.size == 0:
+            break
+        if generator is not None:
+            order = generator.permutation(neighbours.size)
+            neighbours = neighbours[order]
+            parents = parents[order]
+        uniq, first_index = np.unique(neighbours, return_index=True)
+        dist[uniq] = level
+        parent[uniq] = parents[first_index]
+        frontier = uniq.astype(np.int32)
+    return dist, parent
+
+
+def _grid(rows, cols):
+    index = lambda r, c: r * cols + c  # noqa: E731
+    edges = [(index(r, c), index(r, c + 1)) for r in range(rows) for c in range(cols - 1)]
+    edges += [(index(r, c), index(r + 1, c)) for r in range(rows - 1) for c in range(cols)]
+    return Graph.from_edges(rows * cols, edges)
+
+
+def _complete_bipartite(a, b):
+    return Graph.from_edges(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+
+
+class TestClaimKernel:
+    """The claim election picks the same first arc as the sort it replaced."""
+
+    @staticmethod
+    def _assert_same(got, want):
+        dist, parent = got
+        ref_dist, ref_parent = want
+        assert dist.dtype == ref_dist.dtype and parent.dtype == ref_parent.dtype
+        assert np.array_equal(dist, ref_dist)
+        assert np.array_equal(parent, ref_parent)
+
+    @pytest.mark.parametrize(
+        "graph",
+        [_grid(12, 17), _complete_bipartite(2, 200), _complete_bipartite(200, 2)],
+        ids=["grid", "k2_200", "k200_2"],
+    )
+    def test_first_rule_under_heavy_ties(self, graph):
+        for source in (0, 1, graph.num_nodes // 2, graph.num_nodes - 1):
+            forest = bfs(graph, source)
+            self._assert_same(
+                (forest.dist, forest.parent), _unique_levels(graph, [source])
+            )
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42, 2024])
+    @pytest.mark.parametrize(
+        "graph",
+        [_grid(9, 11), _complete_bipartite(2, 200)],
+        ids=["grid", "k2_200"],
+    )
+    def test_random_tie_break_matches_for_every_seed(self, graph, seed):
+        forest = bfs(graph, 0, tie_break="random", rng=seed)
+        want = _unique_levels(graph, [0], np.random.default_rng(seed))
+        self._assert_same((forest.dist, forest.parent), want)
+
+    def test_random_tie_break_on_a_registry_map(self):
+        from repro.topology.registry import build_topology
+
+        graph = build_topology("ts1000", scale=0.5, rng=3)
+        for seed in range(4):
+            forest = bfs(graph, seed, tie_break="random", rng=seed)
+            want = _unique_levels(graph, [seed], np.random.default_rng(seed))
+            self._assert_same((forest.dist, forest.parent), want)
+
+    def test_isolated_nodes_and_early_break(self, disconnected_graph):
+        # Source 5 has no arcs (the gather break); source 3's second
+        # level has only visited arcs (the fresh-filter break).
+        for source in range(disconnected_graph.num_nodes):
+            forest = bfs(disconnected_graph, source)
+            self._assert_same(
+                (forest.dist, forest.parent),
+                _unique_levels(disconnected_graph, [source]),
+            )
+        sparse = Graph.from_edges(50, [(3, 7), (7, 40), (3, 40), (10, 11)])
+        for source in (0, 3, 10, 49):
+            self._assert_same(
+                (distances_from(sparse, source), bfs(sparse, source).parent),
+                _unique_levels(sparse, [source]),
+            )
+
+    @pytest.mark.parametrize(
+        "seeds", [[0], [5, 0], [3, 99, 41, 40], list(range(0, 180, 9))]
+    )
+    def test_multi_source_seeds(self, seeds):
+        from repro.graph.paths import multi_source_bfs
+
+        graph = _grid(10, 18)
+        want = _unique_levels(graph, np.unique(seeds))
+        self._assert_same(multi_source_bfs(graph, seeds), want)
+
+    def test_rows_past_65536_nodes(self):
+        from repro.graph.paths import bfs_from_many
+        from repro.topology.powerlaw import internet_like_graph
+
+        graph = internet_like_graph(70_000, rng=5, stream="vectorized")
+        sources = [0, 12_345, 69_999]
+        dist, parent = bfs_from_many(graph, sources)
+        for row, source in enumerate(sources):
+            self._assert_same(
+                (dist[row], parent[row]), _unique_levels(graph, [source])
+            )
+        forest = bfs(graph, 777, tie_break="random", rng=9)
+        want = _unique_levels(graph, [777], np.random.default_rng(9))
+        self._assert_same((forest.dist, forest.parent), want)
