@@ -1,9 +1,9 @@
-"""Throughput trajectory of the Monte-Carlo engine: scalar vs batched vs parallel.
+"""Throughput trajectory of the Monte-Carlo engine: one worker vs parallel.
 
 Runs the Figure-1 workload (distinct-receiver sweep on the internet-like
-topology) through each engine configuration, reports samples/second, and
-appends one record to the ``BENCH_runner.json`` trajectory so engine
-regressions show up as a drop between consecutive records.
+topology) at each worker count, reports samples/second, and appends one
+record to the ``BENCH_runner.json`` trajectory so engine regressions
+show up as a drop between consecutive records.
 
 Usage::
 
@@ -11,16 +11,16 @@ Usage::
     python benchmarks/bench_runner_scaling.py --smoke     # seconds, for CI
     python benchmarks/bench_runner_scaling.py --workers 2 4 8
 
-The batched and scalar engines produce bit-identical measurements, and
-every worker count produces bit-identical measurements; both properties
-are asserted on each run, so the benchmark doubles as an end-to-end
-equivalence check at realistic scale.
+The 1-worker run is the reference measurement: every worker count must
+produce a bit-identical measurement, asserted on each run, so the
+benchmark doubles as an end-to-end equivalence check at realistic
+scale.
 
 Parallel layouts run on the persistent shared-memory pool
 (:mod:`repro.experiments.pool`); the pool is warmed to the largest
 worker count before any timing so records measure steady-state sweeps,
-not interpreter spawn.  Each batched row carries ``parallel_efficiency``
-(speedup over the 1-worker batched baseline, divided by workers), the
+not interpreter spawn.  Each row carries ``parallel_efficiency``
+(speedup over the 1-worker baseline, divided by workers), the
 record carries ``cpus``, and ``--check-parallel-floor X`` gates on
 ``speedup >= X * min(workers, cpus)`` — hardware-aware, so a 1-CPU CI
 box demands "don't regress below one core" while a 4-CPU box demands
@@ -32,12 +32,13 @@ Record format (one JSON object per run, newest last)::
       "workload": {"topology": "internet", "num_nodes": ..., "sizes": [...],
                    "num_sources": ..., "num_receiver_sets": ..., "mode": ...},
       "cpus": ...,
-      "results": [{"engine": "scalar",  "workers": 1,
-                   "seconds": ..., "samples_per_sec": ...,
-                   "parallel_efficiency": ...}, ...],
-      "speedup_batched_vs_scalar": ...,
-      "speedup_parallel_vs_scalar": ...
+      "results": [{"workers": 1, "seconds": ..., "samples_per_sec": ...,
+                   "parallel_efficiency": ...}, ...]
     }
+
+Records before the scalar engine was removed also carry a
+``("scalar", 1)`` row, an ``engine`` field per row and
+``speedup_*_vs_scalar`` fields.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ FULL = dict(scale=0.3, sources=10, receiver_sets=100, points=10)
 SMOKE = dict(scale=0.05, sources=4, receiver_sets=60, points=6)
 
 
-def _timed_sweep(graph, sizes, config, engine):
+def _timed_sweep(graph, sizes, config):
     start = time.perf_counter()
     measurement = measure_sweep(
         graph,
@@ -75,7 +76,6 @@ def _timed_sweep(graph, sizes, config, engine):
         config=config,
         topology="internet",
         rng=config.seed,
-        engine=engine,
         use_cache=False,  # time the real work, not the forest cache
     )
     return measurement, time.perf_counter() - start
@@ -116,7 +116,7 @@ def run(
     seed: int = 0,
     repeats: int = 3,
 ) -> dict:
-    """Time every engine layout on one workload; returns the record."""
+    """Time every worker count on one workload; returns the record."""
     graph = build_topology("internet", scale=scale, rng=seed)
     sizes = SweepConfig(points=points).sizes(max(2, graph.num_nodes // 4))
     config = MonteCarloConfig(
@@ -144,67 +144,42 @@ def run(
 
     results = []
     reference = None
-    scalar_seconds = None
-    batched_seconds = None
-    best_parallel = None
-    layouts = [("scalar", 1), ("batched", 1)]
-    layouts += [("batched", k) for k in parallel_counts]
-    for engine, num_workers in layouts:
+    baseline_seconds = None
+    for num_workers in [1] + parallel_counts:
         cfg = replace(config, num_workers=num_workers)
         # Best-of-N: scheduler noise swamps single runs of short sweeps.
         seconds = None
         for _ in range(max(1, repeats)):
-            measurement, elapsed = _timed_sweep(graph, sizes, cfg, engine)
+            measurement, elapsed = _timed_sweep(graph, sizes, cfg)
             seconds = elapsed if seconds is None else min(seconds, elapsed)
         if reference is None:
-            reference = measurement
+            reference, baseline_seconds = measurement, seconds
         elif measurement != reference:
             raise AssertionError(
-                f"{engine}/workers={num_workers} disagrees with the "
-                "scalar reference measurement"
+                f"workers={num_workers} disagrees with the 1-worker "
+                "reference measurement"
             )
         rate = total_samples / seconds
-        row = {
-            "engine": engine,
+        efficiency = round(baseline_seconds / seconds / num_workers, 3)
+        results.append({
             "workers": num_workers,
             "seconds": round(seconds, 4),
             "samples_per_sec": round(rate, 1),
-        }
-        if engine == "scalar":
-            scalar_seconds = seconds
-        elif num_workers == 1:
-            batched_seconds = seconds
-        else:
-            best_parallel = min(best_parallel or seconds, seconds)
-        if engine == "batched" and batched_seconds:
-            row["parallel_efficiency"] = round(
-                batched_seconds / seconds / num_workers, 3
-            )
-        results.append(row)
-        efficiency = row.get("parallel_efficiency")
+            "parallel_efficiency": efficiency,
+        })
         print(
-            f"  {engine:>7s} workers={num_workers}: "
-            f"{seconds:8.3f}s  {rate:10.0f} samples/s"
-            + (f"  eff={efficiency:.2f}" if efficiency is not None else "")
+            f"  workers={num_workers}: {seconds:8.3f}s  "
+            f"{rate:10.0f} samples/s  eff={efficiency:.2f}"
         )
 
-    record = {"workload": workload, "cpus": cpus, "results": results}
-    if scalar_seconds and batched_seconds:
-        record["speedup_batched_vs_scalar"] = round(
-            scalar_seconds / batched_seconds, 2
-        )
-    if scalar_seconds and best_parallel:
-        record["speedup_parallel_vs_scalar"] = round(
-            scalar_seconds / best_parallel, 2
-        )
-    return record
+    return {"workload": workload, "cpus": cpus, "results": results}
 
 
 def check_parallel_floor(record: dict, floor: float) -> List[str]:
     """Hardware-aware scaling gate; returns human-readable violations.
 
     Each multi-worker row must reach ``floor * min(workers, cpus)``
-    speedup over the 1-worker batched baseline.  Extra workers beyond
+    speedup over the 1-worker baseline.  Extra workers beyond
     the machine's cores cannot add throughput, so they don't raise the
     bar — on a 1-CPU box this degrades to "parallel must not regress
     below one core times the floor", which is exactly the old failure
@@ -212,18 +187,14 @@ def check_parallel_floor(record: dict, floor: float) -> List[str]:
     """
     cpus = record.get("cpus") or 1
     baseline = next(
-        (
-            row["seconds"]
-            for row in record["results"]
-            if row["engine"] == "batched" and row["workers"] == 1
-        ),
+        (row["seconds"] for row in record["results"] if row["workers"] == 1),
         None,
     )
     if baseline is None:
-        return ["no 1-worker batched baseline row to gate against"]
+        return ["no 1-worker baseline row to gate against"]
     violations = []
     for row in record["results"]:
-        if row["engine"] != "batched" or row["workers"] <= 1:
+        if row["workers"] <= 1:
             continue
         speedup = baseline / row["seconds"]
         required = floor * min(row["workers"], cpus)
@@ -268,14 +239,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="trajectory file (JSON list, appended)")
     parser.add_argument("--no-record", action="store_true",
                         help="print timings without touching the trajectory")
-    parser.add_argument("--check-speedup", type=float, default=None,
-                        metavar="X",
-                        help="exit nonzero unless batched >= X times faster")
     parser.add_argument("--check-parallel-floor", type=float, default=None,
                         metavar="X",
                         help="exit nonzero unless every multi-worker layout "
                              "reaches X * min(workers, cpus) speedup over "
-                             "the 1-worker batched baseline")
+                             "the 1-worker baseline")
     args = parser.parse_args(argv)
     if args.workers is None:
         args.workers = sorted({2, 4, os.cpu_count() or 1})
@@ -309,20 +277,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         seed=args.seed,
         repeats=args.repeats,
     )
-    speedup = record.get("speedup_batched_vs_scalar")
-    if speedup is not None:
-        print(f"batched single-core speedup over scalar: {speedup}x")
     if not args.no_record:
         append_trajectory(record, args.output)
-    if args.check_speedup is not None and (
-        speedup is None or speedup < args.check_speedup
-    ):
-        print(
-            f"FAIL: batched speedup {speedup} below required "
-            f"{args.check_speedup}",
-            file=sys.stderr,
-        )
-        return 1
     if args.check_parallel_floor is not None:
         violations = check_parallel_floor(record, args.check_parallel_floor)
         for violation in violations:

@@ -3,7 +3,7 @@
 Three gates, all fast enough for ``make test``:
 
 1. **Clean tree** — ``src`` + ``benchmarks`` + ``examples`` must be
-   finding-free under all 14 rules (the same assertion as
+   finding-free under every rule (the same assertion as
    ``tests/test_lint_clean.py``, repeated here so the smoke is
    self-contained when run standalone).
 2. **Warm budget** — a warm cached run must finish within

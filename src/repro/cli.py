@@ -33,6 +33,8 @@ __all__ = ["main", "build_parser"]
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser (exposed for tests and docs)."""
+    from repro.lint.__main__ import build_parser as build_lint_parser
+
     parser = argparse.ArgumentParser(
         prog="repro-mcast",
         description=(
@@ -273,42 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="dump the raw artifact JSON (pretty-printed)",
     )
 
-    p_lint = sub.add_parser(
-        "lint", help="run the repro.lint static invariant checks"
-    )
-    p_lint.add_argument(
-        "paths",
-        nargs="*",
-        help="files or directories to lint (default: src/, else .)",
-    )
-    p_lint.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the JSON report (findings + rule docs + counts)",
-    )
-    p_lint.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default=None,
-        help="report format (default text; sarif targets SARIF 2.1.0)",
-    )
-    p_lint.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="fan file analysis across N pool workers",
-    )
-    p_lint.add_argument(
-        "--cache",
-        metavar="PATH",
-        default=None,
-        help="incremental cache file keyed by content hash",
-    )
-    p_lint.add_argument(
-        "--no-project",
-        action="store_true",
-        help="per-file rules only (skip cross-file RR011-RR014)",
+    build_lint_parser(
+        sub.add_parser("lint", help="run the repro.lint static invariant checks")
     )
 
     return parser
@@ -679,16 +647,9 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_lint(args) -> int:
-    from repro.lint import run_lint
+    from repro.lint.__main__ import run
 
-    return run_lint(
-        args.paths,
-        json_output=args.json,
-        output_format=args.format,
-        jobs=args.jobs,
-        cache=args.cache,
-        project=not args.no_project,
-    )
+    return run(args)
 
 
 def _write_obs_artifact(path: str, command: str, collector) -> None:

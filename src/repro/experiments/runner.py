@@ -14,17 +14,17 @@ Chuang-Sirbu ``L(m)``) and ``mode="replacement"`` (the analytical
 ``L̂(n)``).  Each source uses its own spawned RNG stream, so results do
 not depend on iteration order and sub-sweeps are reproducible.
 
-Execution engines
------------------
-The hot path is batched: per (source, size) the runner draws the whole
-``Nrcvr × size`` receiver matrix in O(1) RNG calls
-(:mod:`repro.multicast.sampling`), then counts the source's entire sweep
-— every size, every receiver set — in one flat vectorized ancestor walk
+Execution
+---------
+Per (source, size) the runner draws the whole ``Nrcvr × size`` receiver
+matrix in O(1) RNG calls (:mod:`repro.multicast.sampling`), then counts
+the source's entire sweep — every size, every receiver set — in one flat
+vectorized ancestor walk
 (:meth:`repro.multicast.tree.MulticastTreeCounter.count_trees_and_unicast`).
-``engine="scalar"`` keeps the original one-sample-at-a-time loop as a
-reference; both engines consume identical random streams and produce
-**bit-identical** measurements (enforced by the tier-1 suite), so the
-scalar path exists purely for cross-checking and benchmarking.
+The batched samplers consume the same random stream as repeated
+one-sample draws, so the counts are **bit-identical** to the
+one-sample-at-a-time loop of the methodology (the tier-1 suite keeps
+that loop as an oracle).
 
 Setting ``MonteCarloConfig.num_workers > 1`` fans the
 (source × receiver-set) grid out over the process-wide persistent pool
@@ -62,9 +62,7 @@ from repro.graph.forest_cache import default_forest_cache
 from repro.graph.ops import require_connected
 from repro.graph.paths import bfs
 from repro.multicast.sampling import (
-    sample_distinct_receivers,
     sample_distinct_receivers_sweep,
-    sample_receivers_with_replacement,
     sample_receivers_with_replacement_sweep,
 )
 from repro.multicast import builders
@@ -83,12 +81,11 @@ __all__ = ["measure_sweep", "measure_single_source_sweep"]
 logger = logging.getLogger("repro.experiments")
 
 _MODES = ("distinct", "replacement")
-_ENGINES = ("batched", "scalar")
 
 _OBS_SWEEPS = obs.counter(
     "repro_runner_sweeps_total",
     "Monte-Carlo sweeps completed.",
-    labelnames=("mode", "engine"),
+    labelnames=("mode",),
 )
 _OBS_SAMPLES = obs.counter(
     "repro_runner_samples_total",
@@ -110,13 +107,6 @@ _OBS_RATE = obs.gauge(
 def _check_mode(mode: str) -> None:
     if mode not in _MODES:
         raise ExperimentError(f"mode must be one of {_MODES}, got {mode!r}")
-
-
-def _check_engine(engine: str) -> None:
-    if engine not in _ENGINES:
-        raise ExperimentError(
-            f"engine must be one of {_ENGINES}, got {engine!r}"
-        )
 
 
 def _spawn_seed_sequences(
@@ -141,19 +131,16 @@ def _count_samples(
     num_receiver_sets: int,
     mode: str,
     exclude: Optional[int],
-    engine: str,
     row_slice: Optional[Tuple[int, int]] = None,
     algorithm: str = "spt",
     graph: Optional[Graph] = None,
 ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
     """Per-size links and unicast totals for one source's whole sweep.
 
-    Both engines consume the same random stream (the batched samplers
-    are stream-compatible with repeated scalar draws, and counting draws
-    nothing), so the returned integer arrays are identical between them.
-    The batched engine counts every size of the sweep in one flat
-    vectorized walk; the scalar engine is the seed's sample-at-a-time
-    reference loop.
+    Every size of the sweep is counted in one flat vectorized walk.  The
+    batched samplers are stream-compatible with repeated one-sample
+    draws and counting draws nothing, so the integer arrays equal those
+    of a sample-at-a-time loop over the same stream.
 
     ``row_slice=(lo, hi)`` restricts the *counted* receiver-set rows
     while the full grid is still drawn — the stream a source consumes
@@ -162,60 +149,34 @@ def _count_samples(
     splits one source across workers).
 
     A non-``"spt"`` ``algorithm`` (a :mod:`repro.multicast.builders`
-    registry key; requires ``graph`` and the batched engine) draws the
-    *identical* receiver stream and swaps only the counting step: links
-    come from the named builder, while the unicast baseline ``ū`` stays
-    the SPT distances — the paper's denominator is the unicast path,
-    whatever tree carries the multicast copies.  Builders consume no
-    randomness, so worker-count determinism is preserved as-is.
+    registry key; requires ``graph``) draws the *identical* receiver
+    stream and swaps only the counting step: links come from the named
+    builder, while the unicast baseline ``ū`` stays the SPT distances —
+    the paper's denominator is the unicast path, whatever tree carries
+    the multicast copies.  Builders consume no randomness, so
+    worker-count determinism is preserved as-is.
     """
     lo, hi = (0, num_receiver_sets) if row_slice is None else row_slice
-    if engine == "batched":
-        if mode == "distinct":
-            matrices = sample_distinct_receivers_sweep(
-                num_nodes, size_list, num_receiver_sets,
-                source=exclude, rng=source_rng,
-            )
-        else:
-            matrices = sample_receivers_with_replacement_sweep(
-                num_nodes, size_list, num_receiver_sets,
-                source=exclude, rng=source_rng,
-            )
-        if algorithm != "spt":
-            sliced = [matrix[lo:hi] for matrix in matrices]
-            links_list = [
-                builders.count_tree_links(
-                    algorithm, graph, counter.source, matrix,
-                    forest=counter.forest,
-                )
-                for matrix in sliced
-            ]
-            totals_list = [
-                counter.unicast_totals_batch(matrix) for matrix in sliced
-            ]
-            return links_list, totals_list
-        return counter.count_trees_and_unicast(
-            [matrix[lo:hi] for matrix in matrices]
+    if mode == "distinct":
+        matrices = sample_distinct_receivers_sweep(
+            num_nodes, size_list, num_receiver_sets,
+            source=exclude, rng=source_rng,
         )
-    links_list = []
-    totals_list = []
-    for size in size_list:
-        links = np.empty(hi - lo, dtype=np.int64)
-        totals = np.empty(hi - lo, dtype=np.int64)
-        for i in range(num_receiver_sets):
-            if mode == "distinct":
-                receivers = sample_distinct_receivers(
-                    num_nodes, size, source=exclude, rng=source_rng
-                )
-            else:
-                receivers = sample_receivers_with_replacement(
-                    num_nodes, size, source=exclude, rng=source_rng
-                )
-            if lo <= i < hi:
-                links[i - lo] = counter.tree_size(receivers)
-                totals[i - lo] = counter.unicast_total(receivers)
-        links_list.append(links)
-        totals_list.append(totals)
+    else:
+        matrices = sample_receivers_with_replacement_sweep(
+            num_nodes, size_list, num_receiver_sets,
+            source=exclude, rng=source_rng,
+        )
+    sliced = [matrix[lo:hi] for matrix in matrices]
+    if algorithm == "spt":
+        return counter.count_trees_and_unicast(sliced)
+    links_list = [
+        builders.count_tree_links(
+            algorithm, graph, counter.source, matrix, forest=counter.forest,
+        )
+        for matrix in sliced
+    ]
+    totals_list = [counter.unicast_totals_batch(matrix) for matrix in sliced]
     return links_list, totals_list
 
 
@@ -268,7 +229,6 @@ def _source_counts(
     num_receiver_sets: int,
     tie_break: str,
     exclude_source_site: bool,
-    engine: str,
     use_cache: bool,
     algorithm: str = "spt",
     distance_store: Optional[
@@ -301,8 +261,7 @@ def _source_counts(
     exclude = source if exclude_source_site else None
     return _count_samples(
         counter, source_rng, graph.num_nodes, size_list,
-        num_receiver_sets, mode, exclude, engine, row_slice,
-        algorithm, graph,
+        num_receiver_sets, mode, exclude, row_slice, algorithm, graph,
     )
 
 
@@ -344,7 +303,6 @@ def _source_partials(
     num_receiver_sets: int,
     tie_break: str,
     exclude_source_site: bool,
-    engine: str,
     use_cache: bool,
     algorithm: str = "spt",
     distance_store: Optional[
@@ -354,8 +312,7 @@ def _source_partials(
     """Per-size partial sums contributed by one source (serial path)."""
     links_list, totals_list = _source_counts(
         graph, child_seed, size_list, mode, num_receiver_sets,
-        tie_break, exclude_source_site, engine, use_cache, algorithm,
-        distance_store,
+        tie_break, exclude_source_site, use_cache, algorithm, distance_store,
     )
     return _partials_from_counts(size_list, links_list, totals_list)
 
@@ -368,7 +325,6 @@ def measure_sweep(
     topology: str = "graph",
     exclude_source_site: bool = True,
     rng: RandomState = None,
-    engine: str = "batched",
     use_cache: bool = True,
     distance_store: Optional[
         Union[DistanceStore, DistanceStoreDescriptor]
@@ -399,10 +355,6 @@ def measure_sweep(
         source-site ablation flips this).
     rng:
         Overrides ``config.seed`` when given.
-    engine:
-        ``"batched"`` (vectorized hot path, the default) or
-        ``"scalar"`` (the per-sample reference loop).  Both produce
-        bit-identical measurements.
     use_cache:
         Serve ``tie_break="first"`` forests from the process-wide
         :class:`~repro.graph.forest_cache.ForestCache`.
@@ -421,17 +373,10 @@ def measure_sweep(
         ``"spt"``, the paper's shortest-path trees — bit-identical to
         every pre-existing result).  Other algorithms draw the same
         receiver stream and count links through the registered builder
-        instead; they require the batched engine, and the unicast
-        baseline stays the SPT distances (see :func:`_count_samples`).
+        instead, and the unicast baseline stays the SPT distances (see :func:`_count_samples`).
     """
     _check_mode(mode)
-    _check_engine(engine)
     builders.builder_spec(algorithm)  # unknown names fail fast
-    if algorithm != "spt" and engine != "batched":
-        raise ExperimentError(
-            "non-SPT algorithms are measured through the batched "
-            f"engine only, got engine={engine!r}"
-        )
     config = config or MonteCarloConfig()
     config.validate()
     require_connected(graph, "measure_sweep")
@@ -474,12 +419,11 @@ def measure_sweep(
     )
     task_args = (
         size_list, mode, config.num_receiver_sets, config.tie_break,
-        exclude_source_site, engine, use_cache, algorithm, store_token,
+        exclude_source_site, use_cache, algorithm, store_token,
     )
     span_attrs = dict(
         topology=topology,
         mode=mode,
-        engine=engine,
         workers=num_workers,
         workers_requested=config.num_workers,
         sources=config.num_sources,
@@ -510,7 +454,7 @@ def measure_sweep(
         total_samples = (
             config.num_sources * config.num_receiver_sets * len(size_list)
         )
-        _OBS_SWEEPS.inc(mode=mode, engine=engine)
+        _OBS_SWEEPS.inc(mode=mode)
         _OBS_SAMPLES.inc(total_samples)
         sweep_span.set(samples=total_samples)
     # Only spans may read the clock (RR009), so throughput exists only
@@ -559,7 +503,6 @@ def measure_single_source_sweep(
     tie_break: str = "first",
     exclude_source_site: bool = True,
     rng: RandomState = None,
-    engine: str = "batched",
     use_cache: bool = True,
 ) -> SweepMeasurement:
     """Like :func:`measure_sweep` but for one fixed source.
@@ -570,7 +513,6 @@ def measure_single_source_sweep(
     it is defined (``ū > 0``).
     """
     _check_mode(mode)
-    _check_engine(engine)
     require_connected(graph, "measure_single_source_sweep")
     source = graph.check_node(source)
     config = MonteCarloConfig(
@@ -594,12 +536,11 @@ def measure_single_source_sweep(
         "runner.single_source",
         source=source,
         mode=mode,
-        engine=engine,
         sizes=len(size_list),
     ):
         links_list, totals_list = _count_samples(
             counter, generator, graph.num_nodes, size_list,
-            num_receiver_sets, mode, exclude, engine,
+            num_receiver_sets, mode, exclude,
         )
     _OBS_SAMPLES.inc(num_receiver_sets * len(size_list))
     for size_idx, size in enumerate(size_list):

@@ -8,14 +8,15 @@ that no test can fully enforce.  This package checks them statically:
 * :mod:`repro.lint.engine` — the AST walker, rule registry,
   :class:`~repro.lint.engine.Finding`, and ``# repro-lint: disable=RRnnn``
   suppression handling;
-* :mod:`repro.lint.rules` — the per-file RR001–RR010 rule set;
+* :mod:`repro.lint.rules` — the per-file rules (RR001–RR010, RR015,
+  RR016);
 * :mod:`repro.lint.project` — the project indexer, call graph, and the
   cross-file RR011–RR014 rules;
 * :mod:`repro.lint.cache` — the content-hash incremental cache;
-* :mod:`repro.lint.reporting` — text, JSON, and SARIF 2.1.0 rendering
-  plus baseline files for CI.
+* :mod:`repro.lint.reporting` — text and JSON rendering.
 
-Run it as ``python -m repro.lint [paths]`` or ``repro-mcast lint``;
+Run it as ``python -m repro.lint [paths]`` or ``repro-mcast lint`` (one
+argument parser, :func:`repro.lint.__main__.build_parser`, serves both);
 ``make lint`` gates the test suite and the benchmark trajectory on a
 clean tree.  See ``docs/static-analysis.md`` for the rule catalogue.
 """
@@ -29,60 +30,37 @@ from repro.lint.engine import (
     register_rule,
     registered_rules,
 )
-from repro.lint.reporting import (
-    apply_baseline,
-    load_baseline,
-    render_json,
-    render_sarif,
-    render_text,
-    rule_docs,
-    write_baseline,
-)
+from repro.lint.reporting import render_json, render_text, rule_docs
 
 __all__ = [
     "Finding",
     "Rule",
-    "apply_baseline",
     "lint_file",
     "lint_paths",
     "lint_source",
-    "load_baseline",
     "register_rule",
     "registered_rules",
     "render_json",
-    "render_sarif",
     "render_text",
     "rule_docs",
     "run_lint",
-    "write_baseline",
 ]
 
-_RENDERERS = {
-    "text": render_text,
-    "json": render_json,
-    "sarif": render_sarif,
-}
+_RENDERERS = {"text": render_text, "json": render_json}
 
 
 def run_lint(
     paths=None,
-    json_output: bool = False,
-    quiet: bool = False,
     *,
-    output_format: str = None,
-    jobs: int = 1,
+    output_format: str = "text",
     cache: str = None,
     project: bool = True,
-    baseline: str = None,
-    baseline_out: str = None,
 ) -> int:
     """Lint ``paths`` (default ``src``/cwd), print a report, return exit code.
 
     Shared by ``python -m repro.lint`` and ``repro-mcast lint``: exit
     status 0 means no findings, 1 means findings, 2 means a usage/IO
-    error (unreadable path, bad baseline).  ``json_output`` is the
-    legacy alias for ``output_format="json"``; ``baseline_out`` writes
-    the current findings as the accepted set and exits 0.
+    error (unreadable path, unknown format).
     """
     import os
     import sys
@@ -93,27 +71,10 @@ def run_lint(
         if not os.path.exists(path):
             print(f"repro.lint: no such path: {path}", file=sys.stderr)
             return 2
-    fmt = output_format or ("json" if json_output else "text")
-    renderer = _RENDERERS.get(fmt)
+    renderer = _RENDERERS.get(output_format)
     if renderer is None:
-        print(f"repro.lint: unknown format: {fmt}", file=sys.stderr)
+        print(f"repro.lint: unknown format: {output_format}", file=sys.stderr)
         return 2
-    findings = lint_paths(paths, jobs=jobs, cache=cache, project=project)
-    if baseline_out is not None:
-        try:
-            count = write_baseline(findings, baseline_out)
-        except OSError as exc:
-            print(f"repro.lint: cannot write baseline: {exc}", file=sys.stderr)
-            return 2
-        print(f"repro.lint: baseline of {count} findings -> {baseline_out}")
-        return 0
-    if baseline is not None:
-        try:
-            findings = apply_baseline(findings, load_baseline(baseline))
-        except (OSError, ValueError) as exc:
-            print(f"repro.lint: bad baseline: {exc}", file=sys.stderr)
-            return 2
-    report = renderer(findings)
-    if not quiet or findings:
-        print(report)
+    findings = lint_paths(paths, cache=cache, project=project)
+    print(renderer(findings))
     return 1 if findings else 0

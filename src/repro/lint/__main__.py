@@ -5,13 +5,12 @@ Usage::
     python -m repro.lint                     # lint ./src (or . if no src/)
     python -m repro.lint src tests           # lint specific paths
     python -m repro.lint --format json src   # machine-readable report
-    python -m repro.lint --format sarif src  # SARIF 2.1.0 for CI ingestion
-    python -m repro.lint --jobs 4 src        # parallel (same report bytes)
     python -m repro.lint --cache .lint-cache.json src   # incremental
     python -m repro.lint --no-project file.py           # per-file rules only
-    python -m repro.lint --write-baseline lint-baseline.json src
-    python -m repro.lint --baseline lint-baseline.json src
     python -m repro.lint --list-rules        # print the rule catalogue
+
+``repro-mcast lint`` takes exactly these arguments: its subcommand is
+filled in by :func:`build_parser` and executed by :func:`run`.
 
 Exit status: 0 clean, 1 findings, 2 usage/IO error.
 """
@@ -26,18 +25,16 @@ from repro.lint import run_lint
 from repro.lint.reporting import rule_docs
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.lint",
-        description=(
-            "AST-based invariant checker: per-file rules RR001-RR010 "
-            "(seeded randomness, cached-forest immutability, int32 "
-            "dtype discipline, exception hygiene, figure registration, "
-            "mutable defaults, blocking awaits, golden determinism, "
-            "fault hygiene, pool discipline) plus cross-file rules "
-            "RR011-RR014 (transitive blocking, shared-memory handle "
-            "lifetimes, obs-series drift, fault-seam consistency)."
-        ),
+def build_parser(
+    parser: Optional[argparse.ArgumentParser] = None,
+) -> argparse.ArgumentParser:
+    """The lint argument parser; pass a parser (a subcommand) to fill it."""
+    if parser is None:
+        parser = argparse.ArgumentParser(prog="python -m repro.lint")
+    parser.description = (
+        "AST-based invariant checker: per-file rules over each module "
+        "plus cross-file rules over the whole program's call graph.  "
+        "--list-rules prints the catalogue."
     )
     parser.add_argument(
         "paths",
@@ -46,22 +43,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
-        default=None,
-        help="report format (default text; sarif targets SARIF 2.1.0)",
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="alias for --format json (kept for older callers)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="fan file analysis across N pool workers; the report is "
-        "byte-identical to a serial run",
+        choices=("text", "json"),
+        default="text",
+        help="report format (default text)",
     )
     parser.add_argument(
         "--cache",
@@ -74,20 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-project",
         action="store_true",
         help="per-file rules only; use when linting a partial file set "
-        "where cross-file rules (RR011-RR014) would lack context",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        default=None,
-        help="drop findings recorded in this baseline file",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="PATH",
-        default=None,
-        help="record the current findings as the accepted baseline and "
-        "exit 0",
+        "where the cross-file rules would lack context",
     )
     parser.add_argument(
         "--list-rules",
@@ -97,25 +68,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+def run(args: argparse.Namespace) -> int:
+    """Execute parsed lint arguments; returns the exit status."""
     if args.list_rules:
         for rule_id, doc in sorted(rule_docs().items()):
             print(f"{rule_id} [{doc['severity']}] {doc['summary']}")
         return 0
-    if args.jobs < 1:
-        print("repro.lint: --jobs must be >= 1", file=sys.stderr)
-        return 2
     return run_lint(
         args.paths,
-        json_output=args.json,
         output_format=args.format,
-        jobs=args.jobs,
         cache=args.cache,
         project=not args.no_project,
-        baseline=args.baseline,
-        baseline_out=args.write_baseline,
     )
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    return run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

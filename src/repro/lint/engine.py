@@ -26,11 +26,9 @@ preference, and the only sanctioned opt-out is a pragma reviewers can
 see.
 
 :func:`lint_paths` is the production entry point: it runs the per-file
-layer (optionally fanned out over the persistent
-:mod:`repro.experiments.pool` worker pool with ``jobs > 1``), feeds the
-summaries to the project layer, and — given a cache path — skips every
-file whose content hash is unchanged since the last run.  Findings are
-fully sorted, so serial, parallel, cold, and warm runs are
+layer, feeds the summaries to the project layer, and — given a cache
+path — skips every file whose content hash is unchanged since the last
+run.  Findings are fully sorted, so cold and warm runs are
 byte-identical.
 """
 
@@ -509,70 +507,9 @@ def _iter_python_files(paths: Sequence) -> Iterable[str]:
             yield path
 
 
-def _analyze_file_payload(path: str, source: str):
-    """Worker-side task: one file's findings and summary, as plain dicts.
-
-    Top-level (picklable by reference) so ``lint_paths`` can fan files
-    through the persistent :mod:`repro.experiments.pool` executor; the
-    parent rebuilds :class:`Finding`/``ModuleSummary`` objects from the
-    returned payload.
-    """
-    findings, summary = _analyze_source(source, path)
-    return (
-        [finding.to_dict() for finding in findings],
-        summary.to_dict() if summary is not None else None,
-    )
-
-
-def _analyze_parallel(
-    work: List[Tuple[str, str]], jobs: int
-) -> List[Tuple[List[Finding], object]]:
-    """Analyze ``(path, source)`` pairs on the persistent worker pool.
-
-    Results come back in input order regardless of completion order, so
-    parallel runs are byte-identical to serial ones.  A broken executor
-    degrades to inline analysis for the unfinished files — the pool is
-    an optimization, never a correctness dependency.
-    """
-    from concurrent.futures import BrokenExecutor
-
-    from repro.experiments.pool import get_pool
-    from repro.lint import project
-
-    executor = get_pool().ensure(min(jobs, len(work)))
-    futures = []
-    for path, source in work:
-        try:
-            futures.append(executor.submit(_analyze_file_payload, path, source))
-        except (BrokenExecutor, RuntimeError):
-            futures.append(None)
-    results: List[Tuple[List[Finding], object]] = []
-    for (path, source), future in zip(work, futures):
-        payload = None
-        if future is not None:
-            try:
-                payload = future.result()
-            except BrokenExecutor:
-                payload = None
-        if payload is None:
-            results.append(_analyze_source(source, path))
-            continue
-        finding_dicts, summary_dict = payload
-        results.append(
-            (
-                [Finding.from_dict(d) for d in finding_dicts],
-                project.ModuleSummary.from_dict(summary_dict)
-                if summary_dict is not None
-                else None,
-            )
-        )
-    return results
-
-
 def lint_paths(
     paths: Sequence,
     *,
-    jobs: int = 1,
     cache: Optional[str] = None,
     project: bool = True,
 ) -> List[Finding]:
@@ -581,13 +518,11 @@ def lint_paths(
     Findings are sorted by (path, line, col, rule id); an empty list
     means the tree is clean.
 
-    ``jobs > 1`` fans per-file analysis through the persistent
-    :mod:`repro.experiments.pool` worker pool; ``cache`` names a JSON
-    file keyed by content hash so warm runs skip unchanged files
-    entirely (including the parse).  ``project=False`` disables the
-    cross-file rules — the right trade for partial-tree runs like
-    ``make lint-changed``, where the index would be missing most of the
-    program.
+    ``cache`` names a JSON file keyed by content hash so warm runs skip
+    unchanged files entirely (including the parse).  ``project=False``
+    disables the cross-file rules — the right trade for partial-tree
+    runs like ``make lint-changed``, where the index would be missing
+    most of the program.
     """
     from repro.lint import project as project_mod
     from repro.lint.cache import LintCache
@@ -602,29 +537,17 @@ def lint_paths(
     store = LintCache.load(cache) if cache else None
     findings: Set[Finding] = set()
     summaries: List = []
-    pending: List[Tuple[str, str]] = []
     for normalized, source, digest in files:
         hit = store.lookup(normalized, digest) if store is not None else None
         if hit is not None:
-            cached_findings, summary = hit
-            findings.update(cached_findings)
-            if summary is not None:
-                summaries.append(summary)
+            file_findings, summary = hit
         else:
-            pending.append((normalized, source))
-
-    if pending:
-        if jobs > 1 and len(pending) > 1:
-            results = _analyze_parallel(pending, jobs)
-        else:
-            results = [_analyze_source(source, path) for path, source in pending]
-        digest_by_path = {normalized: digest for normalized, _, digest in files}
-        for (path, _source), (file_findings, summary) in zip(pending, results):
-            findings.update(file_findings)
-            if summary is not None:
-                summaries.append(summary)
+            file_findings, summary = _analyze_source(source, normalized)
             if store is not None:
-                store.store(path, digest_by_path[path], file_findings, summary)
+                store.store(normalized, digest, file_findings, summary)
+        findings.update(file_findings)
+        if summary is not None:
+            summaries.append(summary)
 
     if project and summaries:
         project_key = hashlib.sha256(

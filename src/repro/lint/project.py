@@ -6,14 +6,14 @@ a serve coroutine, a shared-memory segment unlinked while a worker
 still holds a view, or two modules declaring the same obs series with
 different label sets.  This module closes that gap in two passes:
 
-1. **Index.**  Every linted file is distilled into a picklable
+1. **Index.**  Every linted file is distilled into a plain-data
    :class:`ModuleSummary`: resolved imports, a per-function call list
    (targets resolved to dotted qualnames where the imports allow it),
    direct blocking-primitive calls, shared-memory handle events,
    obs-metric declarations, and fault-seam declarations/firings.
-   Summaries carry no AST nodes, so they travel through the worker pool
-   and the incremental cache unchanged — a warm run re-runs the project
-   rules without re-parsing a single file.
+   Summaries carry no AST nodes, so they travel through the incremental
+   cache unchanged — a warm run re-runs the project rules without
+   re-parsing a single file.
 2. **Analyze.**  :class:`ProjectRule` subclasses (RR011–RR014) run over
    the :class:`ProjectIndex` built from all summaries, walking the call
    graph and the declaration tables.  Findings land on concrete

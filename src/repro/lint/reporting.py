@@ -1,55 +1,29 @@
-"""Rendering lint findings as text, JSON, or SARIF; baseline handling.
+"""Rendering lint findings as text or JSON.
 
 The JSON document is a stable contract for downstream tooling
 (pre-commit hooks, the benchmark dirty-tree guard, re-anchor reviews):
 it carries the findings *and* the rule documentation and per-rule
 counts, so a consumer never has to parse the text format or import the
 rule classes to explain a finding.
-
-The SARIF document (``--format sarif``) targets SARIF 2.1.0 so CI
-platforms that ingest the standard (code-scanning UIs, review bots) can
-annotate findings inline.  Each result carries a content-based partial
-fingerprint — path, rule, and message, deliberately *not* the line
-number — which is also what the baseline file stores: a baseline
-suppresses known findings across unrelated edits that merely shift
-them, while a new instance of the same rule with a new message still
-fails CI.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from collections import Counter
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 from repro.lint.engine import Finding, registered_rules
 
 __all__ = [
     "render_text",
     "render_json",
-    "render_sarif",
     "rule_docs",
-    "finding_fingerprint",
-    "load_baseline",
-    "write_baseline",
-    "apply_baseline",
     "JSON_SCHEMA_VERSION",
-    "BASELINE_VERSION",
-    "SARIF_VERSION",
 ]
 
 #: Bumped whenever the JSON document shape changes incompatibly.
 JSON_SCHEMA_VERSION = 1
-
-#: Bumped whenever the baseline file shape changes incompatibly.
-BASELINE_VERSION = 1
-
-SARIF_VERSION = "2.1.0"
-_SARIF_SCHEMA_URI = "https://json.schemastore.org/sarif-2.1.0.json"
-
-#: repro.lint severities -> SARIF result levels.
-_SARIF_LEVELS = {"error": "error", "warning": "warning"}
 
 
 def rule_docs() -> Dict[str, Dict[str, str]]:
@@ -96,124 +70,3 @@ def render_json(findings: Sequence[Finding]) -> str:
         "findings": [finding.to_dict() for finding in findings],
     }
     return json.dumps(document, indent=2, sort_keys=False)
-
-
-def render_sarif(findings: Sequence[Finding]) -> str:
-    """The findings as a SARIF 2.1.0 log (one run, one driver)."""
-    rules = sorted(registered_rules(), key=lambda cls: cls.rule_id)
-    rule_index = {cls.rule_id: index for index, cls in enumerate(rules)}
-    results = []
-    for finding in findings:
-        results.append(
-            {
-                "ruleId": finding.rule_id,
-                "ruleIndex": rule_index.get(finding.rule_id, -1),
-                "level": _SARIF_LEVELS.get(finding.severity, "note"),
-                "message": {"text": finding.message},
-                "locations": [
-                    {
-                        "physicalLocation": {
-                            "artifactLocation": {
-                                "uri": finding.path.replace("\\", "/"),
-                                "uriBaseId": "SRCROOT",
-                            },
-                            "region": {
-                                "startLine": finding.line,
-                                "startColumn": finding.col + 1,
-                            },
-                        }
-                    }
-                ],
-                "partialFingerprints": {
-                    "reproLint/v1": finding_fingerprint(finding)
-                },
-            }
-        )
-    document = {
-        "$schema": _SARIF_SCHEMA_URI,
-        "version": SARIF_VERSION,
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "repro.lint",
-                        "informationUri": (
-                            "https://example.invalid/repro/docs/static-analysis.md"
-                        ),
-                        "rules": [
-                            {
-                                "id": cls.rule_id,
-                                "name": cls.__name__,
-                                "shortDescription": {"text": cls.summary},
-                                "fullDescription": {"text": cls.rationale},
-                                "defaultConfiguration": {
-                                    "level": _SARIF_LEVELS.get(
-                                        cls.severity, "note"
-                                    )
-                                },
-                            }
-                            for cls in rules
-                        ],
-                    }
-                },
-                "originalUriBaseIds": {"SRCROOT": {"uri": "file:///./"}},
-                "results": results,
-            }
-        ],
-    }
-    return json.dumps(document, indent=2, sort_keys=False)
-
-
-# ---------------------------------------------------------------------------
-# Baselines
-# ---------------------------------------------------------------------------
-
-
-def finding_fingerprint(finding: Finding) -> str:
-    """Content hash of a finding, stable across pure line moves."""
-    payload = f"{finding.path}|{finding.rule_id}|{finding.message}"
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:24]
-
-
-def write_baseline(findings: Sequence[Finding], path: str) -> int:
-    """Record the current findings as accepted; returns the count."""
-    counts: Dict[str, int] = {}
-    for finding in findings:
-        fingerprint = finding_fingerprint(finding)
-        counts[fingerprint] = counts.get(fingerprint, 0) + 1
-    document = {"version": BASELINE_VERSION, "fingerprints": counts}
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return len(findings)
-
-
-def load_baseline(path: str) -> Dict[str, int]:
-    """Fingerprint -> accepted count.  Raises ``ValueError`` on shape errors."""
-    with open(path, "r", encoding="utf-8") as handle:
-        document = json.load(handle)
-    if (
-        not isinstance(document, dict)
-        or document.get("version") != BASELINE_VERSION
-        or not isinstance(document.get("fingerprints"), dict)
-    ):
-        raise ValueError(f"not a repro.lint baseline file: {path}")
-    return {
-        str(fingerprint): int(count)
-        for fingerprint, count in document["fingerprints"].items()
-    }
-
-
-def apply_baseline(
-    findings: Sequence[Finding], baseline: Dict[str, int]
-) -> List[Finding]:
-    """Drop findings the baseline accepts (up to its recorded multiplicity)."""
-    budget = dict(baseline)
-    kept = []
-    for finding in findings:
-        fingerprint = finding_fingerprint(finding)
-        if budget.get(fingerprint, 0) > 0:
-            budget[fingerprint] -= 1
-            continue
-        kept.append(finding)
-    return kept

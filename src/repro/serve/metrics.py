@@ -6,10 +6,10 @@ counter/gauge/histogram instruments and the text exposition live in
 :mod:`repro.obs.registry` (they started here and were promoted), and
 :class:`ServeMetrics` is a thin composition over a private
 :class:`~repro.obs.registry.MetricsRegistry` — private so multiple
-service instances in one process never cross-count.  The classes are
-re-exported here for compatibility.  ``GET /metrics`` additionally
-appends the process-wide :func:`repro.obs.default_registry` document
-(forest-cache, runner, sampling, figure series); see
+service instances in one process never cross-count.  ``GET /metrics``
+additionally appends the process-wide
+:func:`repro.obs.default_registry` document (forest-cache, runner,
+sampling, figure series); see
 :meth:`repro.serve.handlers.EstimationService.handle_metrics`.
 
 Series (names are pinned — the obs smoke gate checks them name-for-name)
@@ -35,22 +35,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.obs.registry import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
+from repro.obs.registry import DEFAULT_BUCKETS, MetricsRegistry
 
-__all__ = [
-    "ServeMetrics",
-    "DEFAULT_BUCKETS",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-]
+__all__ = ["ServeMetrics"]
 
 _PREFIX = "repro_serve"
 

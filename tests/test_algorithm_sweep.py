@@ -130,22 +130,6 @@ class TestNonSptSweeps:
         with pytest.raises(ExperimentError, match="unknown tree algorithm"):
             measure_sweep(graph, [4], config=_config(), algorithm="kmb")
 
-    def test_scalar_engine_rejected_for_non_spt(self, graph):
-        with pytest.raises(ExperimentError, match="batched"):
-            measure_sweep(
-                graph,
-                [4],
-                config=_config(),
-                engine="scalar",
-                algorithm="steiner-tm",
-            )
-
-    def test_scalar_engine_still_fine_for_spt(self, graph):
-        result = measure_sweep(
-            graph, [4], config=_config(), engine="scalar", algorithm="spt"
-        )
-        assert result.algorithm == "spt"
-
 
 class TestSerialization:
     def test_payload_roundtrip_and_default(self, graph):

@@ -4,7 +4,8 @@ The vectorized Monte-Carlo machinery promises bit-identical results to
 the per-sample reference path at three independent layers — tree
 counting, receiver sampling, and the full sweep engine.  Each layer is
 pinned separately (property tests over random graphs and seeds for the
-first two, end-to-end measurement equality for the third) so a
+first two; for the third, every source's integer counts against the
+test-local per-sample loop :func:`_scalar_source_counts`) so a
 regression is localized by the failing layer rather than showing up as
 an unexplained figure-level drift.
 """
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.experiments import runner
 from repro.experiments.config import MonteCarloConfig
 from repro.experiments.runner import measure_single_source_sweep, measure_sweep
 from repro.graph.core import Graph
@@ -253,22 +255,86 @@ class TestBatchedSampling:
 # ---------------------------------------------------------------------------
 
 
+def _scalar_source_counts(
+    graph, child_seed, sizes, mode, num_receiver_sets, tie_break,
+    exclude_source_site,
+):
+    """One source's per-size (links, totals), one sample at a time.
+
+    The methodology as written — draw the source, run its BFS, then for
+    each size and receiver set draw the receivers and count ``L`` and
+    the unicast total — on the public per-sample API.  It consumes the
+    source's stream in the same order as the batched runner, so the
+    integer arrays must match :func:`runner._source_counts` exactly.
+    """
+    rng = np.random.default_rng(child_seed)
+    source = int(rng.integers(0, graph.num_nodes))
+    forest = bfs(
+        graph, source, tie_break=tie_break,
+        rng=rng if tie_break == "random" else None,
+    )
+    counter = MulticastTreeCounter(forest)
+    exclude = source if exclude_source_site else None
+    sample = (
+        sample_distinct_receivers
+        if mode == "distinct"
+        else sample_receivers_with_replacement
+    )
+    links_list, totals_list = [], []
+    for size in sizes:
+        links = np.empty(num_receiver_sets, dtype=np.int64)
+        totals = np.empty(num_receiver_sets, dtype=np.int64)
+        for i in range(num_receiver_sets):
+            receivers = sample(graph.num_nodes, size, source=exclude, rng=rng)
+            links[i] = counter.tree_size(receivers)
+            totals[i] = counter.unicast_total(receivers)
+        links_list.append(links)
+        totals_list.append(totals)
+    return links_list, totals_list
+
+
 class TestEngineEquivalence:
     @pytest.fixture(scope="class")
     def arpa(self):
         return build_topology("arpa", scale=1.0, rng=0)
 
+    @staticmethod
+    def _assert_sources_match_scalar(
+        graph, sizes, mode, tie_break, exclude_source_site, num_sources,
+        num_receiver_sets, seed,
+    ):
+        children = runner._spawn_seed_sequences(
+            np.random.default_rng(seed), num_sources
+        )
+        for child in children:
+            batched = runner._source_counts(
+                graph, child, sizes, mode, num_receiver_sets, tie_break,
+                exclude_source_site, use_cache=True,
+            )
+            scalar = _scalar_source_counts(
+                graph, child, sizes, mode, num_receiver_sets, tie_break,
+                exclude_source_site,
+            )
+            for got, expected in zip(batched, scalar):
+                assert [a.tolist() for a in got] == [
+                    a.tolist() for a in expected
+                ]
+
     @pytest.mark.parametrize("mode", ["distinct", "replacement"])
     @pytest.mark.parametrize("tie_break", ["first", "random"])
     def test_arpanet_batched_equals_scalar(self, arpa, mode, tie_break):
-        config = MonteCarloConfig(
-            num_sources=4, num_receiver_sets=6, seed=3, tie_break=tie_break
+        self._assert_sources_match_scalar(
+            arpa, [1, 3, 7, 12], mode, tie_break,
+            exclude_source_site=True, num_sources=4, num_receiver_sets=6,
+            seed=3,
         )
-        sizes = [1, 3, 7, 12]
-        kwargs = dict(mode=mode, config=config, topology="arpa")
-        batched = measure_sweep(arpa, sizes, engine="batched", **kwargs)
-        scalar = measure_sweep(arpa, sizes, engine="scalar", **kwargs)
-        assert batched == scalar
+
+    def test_engine_keyword_removed(self, arpa):
+        # The runner has one execution path and no engine switch.
+        with pytest.raises(TypeError):
+            measure_sweep(arpa, [1], engine="scalar")
+        with pytest.raises(TypeError):
+            measure_single_source_sweep(arpa, 0, [1], engine="batched")
 
     def test_workers_bit_identical(self, arpa):
         sizes = [1, 4, 9]
@@ -288,15 +354,15 @@ class TestEngineEquivalence:
 
     def test_source_site_inclusion_both_engines(self, arpa):
         # exclude_source_site=False lets receivers land on the source
-        # (empty paths) — the corner the averaging fix covers; both
-        # engines must agree there too.
-        config = MonteCarloConfig(num_sources=3, num_receiver_sets=8, seed=2)
-        kwargs = dict(
-            mode="replacement", config=config, exclude_source_site=False
-        )
-        batched = measure_sweep(arpa, [1, 5], engine="batched", **kwargs)
-        scalar = measure_sweep(arpa, [1, 5], engine="scalar", **kwargs)
-        assert batched == scalar
+        # (empty paths) — the corner the averaging fix covers; the
+        # batched counts must match the per-sample loop there too.
+        for mode in ("distinct", "replacement"):
+            for tie_break in ("first", "random"):
+                self._assert_sources_match_scalar(
+                    arpa, [1, 5], mode, tie_break,
+                    exclude_source_site=False, num_sources=3,
+                    num_receiver_sets=8, seed=2,
+                )
 
     def test_path_graph_exact_averages(self):
         # Hand-computable case: on the path 0-1-2 with source 0, the only

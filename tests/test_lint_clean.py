@@ -1,4 +1,4 @@
-"""Tier-1 gate: the shipped tree is lint-finding-free under all 14 rules.
+"""Tier-1 gate: the shipped tree is lint-finding-free under every rule.
 
 ``repro.lint`` encodes the repo's determinism, cache-aliasing, dtype,
 blocking, shared-memory-lifetime, obs-series, and fault-seam invariants;

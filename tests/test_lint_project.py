@@ -3,9 +3,8 @@
 The seeded-bug classes below are the whole point of the project layer:
 each tmp tree injects a defect that spans a module boundary, asserts
 the per-file engine (``project=False`` — the pre-RR011 rule set's view)
-misses it, and asserts the project rules catch it.  Separate classes
-cover the incremental cache's skip/invalidate behavior and the
-byte-identity contract of parallel lint.
+misses it, and asserts the project rules catch it.  A separate class
+covers the incremental cache's skip/invalidate behavior.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import lint_paths, render_json, render_text
+from repro.lint import lint_paths
 from repro.lint.cache import LintCache
 from repro.lint.engine import ruleset_signature
 from repro.lint.project import ModuleSummary, module_name_for_path
@@ -230,18 +229,6 @@ class TestIncrementalCache:
         cache.write_text("{not json")
         findings = lint_paths([tree], cache=cache)
         assert _rule_ids(findings) == ["RR001"]
-
-
-class TestParallelDeterminism:
-    @pytest.mark.slow
-    def test_reports_byte_identical_for_jobs_1_2_4(self):
-        reports = {}
-        for jobs in (1, 2, 4):
-            findings = lint_paths([FIXTURES], jobs=jobs)
-            reports[jobs] = (render_text(findings), render_json(findings))
-        assert reports[1] == reports[2] == reports[4]
-        # Sanity: the fixture tree is not trivially empty.
-        assert "RR001" in reports[1][0]
 
 
 class TestIndexerInternals:

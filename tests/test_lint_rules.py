@@ -297,7 +297,9 @@ class TestCli:
         assert run_lint([str(FIXTURES / "does_not_exist.py")]) == 2
 
     def test_main_json_output(self, capsys):
-        code = lint_main(["--json", str(FIXTURES / "rr004_positive.py")])
+        code = lint_main(
+            ["--format", "json", str(FIXTURES / "rr004_positive.py")]
+        )
         assert code == 1
         report = json.loads(capsys.readouterr().out)
         assert report["counts"]["by_rule"] == {"RR004": 3}
@@ -314,3 +316,27 @@ class TestCli:
         code = cli_main(["lint", str(FIXTURES / "rr006_positive.py")])
         assert code == 1
         assert "RR006" in capsys.readouterr().out
+
+    def test_repro_mcast_lint_list_rules_matches_module(self, capsys):
+        from repro.cli import main as cli_main
+
+        assert lint_main(["--list-rules"]) == 0
+        expected = capsys.readouterr().out
+        assert cli_main(["lint", "--list-rules"]) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_repro_mcast_lint_help_matches_module(self, capsys):
+        from repro.cli import main as cli_main
+
+        helps = []
+        for entry in (lambda: lint_main(["--help"]),
+                      lambda: cli_main(["lint", "--help"])):
+            with pytest.raises(SystemExit) as excinfo:
+                entry()
+            assert excinfo.value.code == 0
+            # Everything past the usage block (which names the program).
+            helps.append(capsys.readouterr().out.split("\n\n", 1)[1])
+        assert helps[0] == helps[1]
+        for option in ("--format {text,json}", "--cache", "--no-project",
+                       "--list-rules"):
+            assert option in helps[0]
