@@ -18,10 +18,8 @@ from repro.multicast.popularity import (
 from repro.multicast.sampling import (
     eligible_sites,
     sample_distinct_receivers,
-    sample_distinct_receivers_batch,
     sample_distinct_receivers_sweep,
     sample_receivers_with_replacement,
-    sample_receivers_with_replacement_batch,
     sample_receivers_with_replacement_sweep,
 )
 from repro.multicast.builders import (
@@ -32,12 +30,6 @@ from repro.multicast.builders import (
     build_tree,
     builder_spec,
     count_tree_links,
-    register_builder,
-)
-from repro.multicast.steiner import (
-    SteinerTree,
-    multi_source_distances,
-    takahashi_matsuyama_tree,
 )
 from repro.multicast.shared_tree import (
     SharedTreeCost,
@@ -58,10 +50,8 @@ __all__ = [
     "sample_weighted_tree_size",
     "eligible_sites",
     "sample_distinct_receivers",
-    "sample_distinct_receivers_batch",
     "sample_distinct_receivers_sweep",
     "sample_receivers_with_replacement",
-    "sample_receivers_with_replacement_batch",
     "sample_receivers_with_replacement_sweep",
     "DeliveryTree",
     "MulticastTreeCounter",
@@ -78,9 +68,6 @@ __all__ = [
     "effective_sites",
     "sample_popular_receivers",
     "zipf_site_weights",
-    "SteinerTree",
-    "multi_source_distances",
-    "takahashi_matsuyama_tree",
     "BUILDER_NAMES",
     "BuilderSpec",
     "RedundantTreeSet",
@@ -88,5 +75,4 @@ __all__ = [
     "build_tree",
     "builder_spec",
     "count_tree_links",
-    "register_builder",
 ]

@@ -18,12 +18,12 @@ Registered builders
     so its link counts are bit-identical to the Monte-Carlo engine's.
 ``steiner-tm``
     Takahashi–Matsuyama nearest-receiver grafting (2-approximation of
-    the Steiner optimum), refactored from :mod:`repro.multicast.steiner`
-    onto this interface.  Guarded to never exceed the SPT tree: the
-    raw heuristic has no such guarantee on tie-heavy unit-cost graphs,
-    and a *routing* comparison should charge the heuristic only when it
-    actually wins, so the builder returns whichever of {TM, SPT} is
-    smaller.
+    the Steiner optimum; the paper's refs [10–12] frame multicast
+    efficiency against that optimum).  Guarded to never exceed the SPT
+    tree: the raw heuristic has no such guarantee on tie-heavy
+    unit-cost graphs, and a *routing* comparison should charge the
+    heuristic only when it actually wins, so the builder returns
+    whichever of {TM, SPT} is smaller.
 ``dst-approx``
     Dynamic Steiner join semantics (the greedy online heuristic used by
     resilient-multicast designs): each receiver, **in arrival order**,
@@ -57,8 +57,7 @@ import numpy as np
 from repro.exceptions import ExperimentError, GraphError
 from repro.graph.core import Graph
 from repro.graph.paths import ShortestPathForest, bfs, multi_source_bfs
-from repro.multicast.steiner import takahashi_matsuyama_tree
-from repro.multicast.tree import DeliveryTree, MulticastTreeCounter
+from repro.multicast.tree import DeliveryTree, MulticastTreeCounter, _spt_tree
 
 __all__ = [
     "BuilderSpec",
@@ -70,7 +69,6 @@ __all__ = [
     "build_tree",
     "builder_spec",
     "count_tree_links",
-    "register_builder",
 ]
 
 #: Redundant-set sizes the ``kdisjoint`` builder supports.
@@ -88,9 +86,6 @@ class BuilderSpec:
         Registry key (the ``algorithm`` value everywhere downstream).
     description:
         One-line human summary.
-    redundancy:
-        Trees per build: 1 for single-tree builders, the default ``k``
-        for ``kdisjoint``.
     build:
         ``build(graph, source, receivers, forest=None) -> DeliveryTree``.
     count:
@@ -101,26 +96,8 @@ class BuilderSpec:
 
     name: str
     description: str
-    redundancy: int
     build: Callable[..., DeliveryTree]
     count: Callable[..., np.ndarray]
-
-
-_SPECS: Dict[str, BuilderSpec] = {}
-
-
-def register_builder(spec: BuilderSpec) -> BuilderSpec:
-    """Add a builder to the registry (name must be unused)."""
-    if spec.name in _SPECS:
-        raise ExperimentError(
-            f"tree builder {spec.name!r} is already registered"
-        )
-    if spec.redundancy < 1:
-        raise ExperimentError(
-            f"builder redundancy must be >= 1, got {spec.redundancy}"
-        )
-    _SPECS[spec.name] = spec
-    return spec
 
 
 def builder_spec(name: str) -> BuilderSpec:
@@ -201,22 +178,6 @@ def _as_matrix(receiver_matrix) -> np.ndarray:
     return matrix
 
 
-def _count_by_rows(
-    build: Callable[..., DeliveryTree],
-    graph: Graph,
-    source: int,
-    receiver_matrix,
-    forest: Optional[ShortestPathForest],
-) -> np.ndarray:
-    """Per-set fallback: one tree build per matrix row."""
-    matrix = _as_matrix(receiver_matrix)
-    forest = _resolve_forest(graph, graph.check_node(source), forest)
-    out = np.empty(matrix.shape[0], dtype=np.int64)
-    for i, row in enumerate(matrix):
-        out[i] = build(graph, source, row, forest=forest).num_links
-    return out
-
-
 def _graft_chain(
     in_tree: Set[int],
     edges: List[Tuple[int, int]],
@@ -243,21 +204,8 @@ def _build_spt(
     receivers: Sequence[int],
     forest: Optional[ShortestPathForest] = None,
 ) -> DeliveryTree:
-    source = graph.check_node(source)
-    forest = _resolve_forest(graph, source, forest)
-    counter = MulticastTreeCounter(forest)
-    nodes = counter.tree_nodes(receivers)
-    non_source = nodes[nodes != source]
-    edges = np.column_stack(
-        [forest.parent[non_source], non_source]
-    ).astype(np.int64)
-    return DeliveryTree(
-        source=source,
-        receivers=tuple(int(r) for r in receivers),
-        nodes=nodes,
-        edges=edges,
-        algorithm="spt",
-    )
+    forest = _resolve_forest(graph, graph.check_node(source), forest)
+    return _spt_tree(forest, receivers)
 
 
 def _count_spt(
@@ -273,8 +221,49 @@ def _count_spt(
 
 
 # ----------------------------------------------------------------------
-# steiner-tm — Takahashi–Matsuyama nearest-receiver grafting
+# steiner-tm and dst-approx — grafting shortest paths onto the tree
 # ----------------------------------------------------------------------
+
+
+def _graft_tree(
+    graph: Graph,
+    source: int,
+    receivers: Sequence[int],
+    nearest: bool,
+) -> DeliveryTree:
+    """Grow a tree by grafting one shortest path to it per step.
+
+    Each step runs one multi-source BFS from the current tree and
+    grafts the parent chain of one receiver not yet in it.  With
+    ``nearest`` the target is the closest such receiver by
+    ``(distance, id)`` — Takahashi–Matsuyama, at most twice the Steiner
+    optimum, *unguarded* — otherwise it is the first in arrival order
+    (``dst-approx``).  Costs one BFS per graft.
+    """
+    source = graph.check_node(source)
+    pending = [graph.check_node(int(r)) for r in receivers]
+    in_tree: Set[int] = {source}
+    edges: List[Tuple[int, int]] = []
+    while True:
+        pending = [r for r in pending if r not in in_tree]
+        if not pending:
+            break
+        dist, parent = multi_source_bfs(graph, sorted(in_tree))
+        if nearest:
+            reachable = [(int(dist[r]), r) for r in pending if dist[r] >= 0]
+            target = min(reachable)[1] if reachable else min(pending)
+        else:
+            target = pending[0]
+        if dist[target] < 0:
+            raise GraphError(f"receiver {target} is unreachable from the tree")
+        _graft_chain(in_tree, edges, parent, target)
+    return DeliveryTree(
+        source=source,
+        receivers=tuple(int(r) for r in receivers),
+        nodes=np.asarray(sorted(in_tree), dtype=np.int64),
+        edges=np.asarray(edges, dtype=np.int64).reshape(-1, 2),
+        algorithm="steiner-tm" if nearest else "dst-approx",
+    )
 
 
 def _build_steiner_tm(
@@ -283,23 +272,13 @@ def _build_steiner_tm(
     receivers: Sequence[int],
     forest: Optional[ShortestPathForest] = None,
 ) -> DeliveryTree:
-    source = graph.check_node(source)
     spt = _build_spt(graph, source, receivers, forest=forest)
-    heuristic = takahashi_matsuyama_tree(graph, source, receivers)
+    heuristic = _graft_tree(graph, source, receivers, nearest=True)
     # Best-of guard (see module docs): the 2-approximation may lose to
     # the SPT tree outright on tie-heavy graphs; charge it the smaller.
     if heuristic.num_links < spt.num_links:
-        nodes = heuristic.nodes
-        edges = np.asarray(heuristic.edges, dtype=np.int64)
-    else:
-        nodes, edges = spt.nodes, spt.edges
-    return DeliveryTree(
-        source=source,
-        receivers=spt.receivers,
-        nodes=nodes,
-        edges=edges,
-        algorithm="steiner-tm",
-    )
+        return heuristic
+    return replace(spt, algorithm="steiner-tm")
 
 
 def _count_steiner_tm(
@@ -315,14 +294,9 @@ def _count_steiner_tm(
     spt_links = MulticastTreeCounter(forest).tree_sizes_batch(matrix)
     out = np.empty(matrix.shape[0], dtype=np.int64)
     for i, row in enumerate(matrix):
-        heuristic = takahashi_matsuyama_tree(graph, source, row)
-        out[i] = min(int(heuristic.num_links), int(spt_links[i]))
+        heuristic = _graft_tree(graph, source, row, nearest=True)
+        out[i] = min(heuristic.num_links, int(spt_links[i]))
     return out
-
-
-# ----------------------------------------------------------------------
-# dst-approx — dynamic (online) Steiner joins in arrival order
-# ----------------------------------------------------------------------
 
 
 def _build_dst_approx(
@@ -331,26 +305,23 @@ def _build_dst_approx(
     receivers: Sequence[int],
     forest: Optional[ShortestPathForest] = None,
 ) -> DeliveryTree:
-    source = graph.check_node(source)
-    in_tree: Set[int] = {source}
-    edges: List[Tuple[int, int]] = []
-    for raw in receivers:
-        target = graph.check_node(int(raw))
-        if target in in_tree:
-            continue
-        dist, parent = multi_source_bfs(graph, sorted(in_tree))
-        if dist[target] < 0:
-            raise GraphError(
-                f"receiver {target} is unreachable from the tree"
-            )
-        _graft_chain(in_tree, edges, parent, target)
-    return DeliveryTree(
-        source=source,
-        receivers=tuple(int(r) for r in receivers),
-        nodes=np.asarray(sorted(in_tree), dtype=np.int64),
-        edges=np.asarray(edges, dtype=np.int64).reshape(-1, 2),
-        algorithm="dst-approx",
-    )
+    return _graft_tree(graph, source, receivers, nearest=False)
+
+
+def _count_dst_approx(
+    graph: Graph,
+    source: int,
+    receiver_matrix,
+    forest: Optional[ShortestPathForest] = None,
+) -> np.ndarray:
+    matrix = _as_matrix(receiver_matrix)
+    # The graft loop never reads the forest, but a mismatched one is
+    # still the caller's error, as for every other builder.
+    _resolve_forest(graph, graph.check_node(source), forest)
+    out = np.empty(matrix.shape[0], dtype=np.int64)
+    for i, row in enumerate(matrix):
+        out[i] = _graft_tree(graph, source, row, nearest=False).num_links
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -555,44 +526,35 @@ def _count_kdisjoint(
 # Registry
 # ----------------------------------------------------------------------
 
-register_builder(
-    BuilderSpec(
-        name="spt",
-        description="shortest-path tree (the paper's routing; batched)",
-        redundancy=1,
-        build=_build_spt,
-        count=_count_spt,
-    )
-)
-register_builder(
-    BuilderSpec(
-        name="steiner-tm",
-        description="Takahashi-Matsuyama Steiner 2-approximation",
-        redundancy=1,
-        build=_build_steiner_tm,
-        count=_count_steiner_tm,
-    )
-)
-register_builder(
-    BuilderSpec(
-        name="dst-approx",
-        description="dynamic Steiner joins in arrival order",
-        redundancy=1,
-        build=_build_dst_approx,
-        count=lambda graph, source, matrix, forest=None: _count_by_rows(
-            _build_dst_approx, graph, source, matrix, forest
+_SPECS: Dict[str, BuilderSpec] = {
+    spec.name: spec
+    for spec in (
+        BuilderSpec(
+            name="spt",
+            description="shortest-path tree (the paper's routing; batched)",
+            build=_build_spt,
+            count=_count_spt,
+        ),
+        BuilderSpec(
+            name="steiner-tm",
+            description="Takahashi-Matsuyama Steiner 2-approximation",
+            build=_build_steiner_tm,
+            count=_count_steiner_tm,
+        ),
+        BuilderSpec(
+            name="dst-approx",
+            description="dynamic Steiner joins in arrival order",
+            build=_build_dst_approx,
+            count=_count_dst_approx,
+        ),
+        BuilderSpec(
+            name="kdisjoint",
+            description="k edge-disjoint redundant trees (k=2 default)",
+            build=_build_kdisjoint,
+            count=_count_kdisjoint,
         ),
     )
-)
-register_builder(
-    BuilderSpec(
-        name="kdisjoint",
-        description="k edge-disjoint redundant trees (k=2 default)",
-        redundancy=DEFAULT_REDUNDANCY,
-        build=_build_kdisjoint,
-        count=_count_kdisjoint,
-    )
-)
+}
 
 #: Registration-order builder names (the CLI's --algorithm choices).
 BUILDER_NAMES: Tuple[str, ...] = tuple(_SPECS)

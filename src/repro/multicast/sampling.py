@@ -13,14 +13,14 @@ Both modes exclude the source by default (a receiver co-located with the
 source adds nothing to the tree; Section 3.4 explicitly excludes the
 root).  Pass ``exclude=()`` to allow receivers anywhere.
 
-Each mode also has a **batched** form that draws a whole
-``(num_sets, size)`` matrix of receiver sets from a constant number of
-RNG calls (:func:`sample_distinct_receivers_batch`,
-:func:`sample_receivers_with_replacement_batch`).  The batched and
-scalar forms consume the *same* random stream: drawing ``k`` sets in one
-batch yields exactly the ``k`` sets that ``k`` sequential scalar calls
-on the same generator would produce.  The Monte-Carlo engine relies on
-this to keep its vectorized and reference paths bit-identical.
+Each mode also has a **sweep** form that draws one ``(num_sets, size)``
+matrix of receiver sets per group size, from one RNG call per size
+(:func:`sample_distinct_receivers_sweep`,
+:func:`sample_receivers_with_replacement_sweep`).  The sweep and scalar
+forms consume the *same* random stream: the ``num_sets`` rows of each
+size are exactly the sets that sequential scalar calls on the same
+generator would produce, size after size.  The Monte-Carlo engine
+relies on this to keep its vectorized and reference paths bit-identical.
 """
 
 from __future__ import annotations
@@ -35,18 +35,15 @@ from repro.utils.rng import RandomState, ensure_rng
 
 __all__ = [
     "sample_distinct_receivers",
-    "sample_distinct_receivers_batch",
     "sample_distinct_receivers_sweep",
     "sample_receivers_with_replacement",
-    "sample_receivers_with_replacement_batch",
     "sample_receivers_with_replacement_sweep",
     "eligible_sites",
 ]
 
-# One inc per batch/sweep call (not per set), so the counter costs
-# nothing against the O(num_sets x size) draw it describes.  The
-# distinct scalar draw routes through the batch path and is counted
-# there; the sweep fast paths count their whole sweep in one inc.
+# One inc per sweep call (not per set), so the counter costs nothing
+# against the O(num_sets x size) draw it describes.  The distinct scalar
+# draw routes through the sweep and is counted there.
 _OBS_SETS = obs.counter(
     "repro_sampling_receiver_sets_total",
     "Receiver sets drawn, by sampling convention.",
@@ -108,59 +105,23 @@ def sample_distinct_receivers(
     SamplingError
         If fewer than ``m`` eligible sites exist.
     """
-    return sample_distinct_receivers_batch(
-        num_nodes, m, 1, source=source, rng=rng
-    )[0]
+    return sample_distinct_receivers_sweep(
+        num_nodes, [m], 1, source=source, rng=rng
+    )[0][0]
 
 
-def sample_distinct_receivers_batch(
-    num_nodes: int,
-    m: int,
-    num_sets: int,
-    source: Optional[int] = None,
-    rng: RandomState = None,
-) -> np.ndarray:
-    """Draw ``num_sets`` independent distinct-receiver sets at once.
+def _swap_targets(u: np.ndarray, size: int) -> np.ndarray:
+    """Partial Fisher-Yates swap targets from uniforms ``u`` (``(..., m)``).
 
-    Returns a ``(num_sets, m)`` int32 matrix whose rows are uniform
-    ``m``-subsets of the eligible sites, in random order.  The rows are
-    produced by a partial Fisher-Yates shuffle vectorized across sets and
-    driven by a single ``rng.random((num_sets, m))`` draw, so row ``r``
-    equals the ``r``-th sequential :func:`sample_distinct_receivers` call
-    on the same generator.
+    Step ``i`` swaps slot ``i`` with ``i + floor(u_i * (size - i))``,
+    uniform on the untouched suffix; the minimum guards the ``u -> 1.0``
+    rounding edge.
     """
-    if num_sets < 1:
-        raise SamplingError(f"num_sets must be >= 1, got {num_sets}")
-    pool = _distinct_pool(num_nodes, m, source)
-    generator = ensure_rng(rng)
-    _OBS_SETS.inc(num_sets, mode="distinct")
-    u = generator.random((num_sets, m))
-    size = pool.size
-    # All swap targets up front: floor(u * remaining) is uniform on the
-    # untouched suffix; the minimum guards the u -> 1.0 rounding edge.
-    remaining = size - np.arange(m, dtype=np.int64)
+    steps = np.arange(u.shape[-1], dtype=np.int64)
+    remaining = size - steps
     swap = np.minimum((u * remaining).astype(np.int64), remaining - 1)
-    swap += np.arange(m, dtype=np.int64)
-    if num_sets == 1:
-        return _sparse_fisher_yates(pool, swap[0], m)[np.newaxis, :]
-    base = np.arange(num_sets, dtype=np.int64) * size
-    # The partial Fisher-Yates itself is sequential in i but vectorized
-    # across sets; precomputed flat swap indices keep each step to two
-    # gathers and two scatters, and the int32 pool copies halve the
-    # memory traffic of the O(num_sets * pool) setup.
-    flat_swap = np.ascontiguousarray(swap.T + base)
-    flat_prefix = np.ascontiguousarray(
-        np.arange(m, dtype=np.int64)[:, np.newaxis] + base
-    )
-    perm = np.repeat(pool.astype(np.int32)[np.newaxis, :], num_sets, axis=0)
-    flat = perm.reshape(-1)
-    for i in range(m):
-        j = flat_swap[i]
-        bi = flat_prefix[i]
-        picked = flat[j]
-        flat[j] = flat[bi]
-        flat[bi] = picked
-    return np.ascontiguousarray(perm[:, :m])
+    swap += steps
+    return swap
 
 
 def sample_distinct_receivers_sweep(
@@ -172,26 +133,25 @@ def sample_distinct_receivers_sweep(
 ) -> List[np.ndarray]:
     """Distinct-receiver matrices for a whole sweep of group sizes.
 
-    Value- and stream-identical to calling
-    :func:`sample_distinct_receivers_batch` once per size in order, but
-    the ``num_sets`` pool copies are materialized once for the whole
-    sweep: after each size's partial Fisher-Yates, only the O(m)
-    positions it touched are restored from the pool, instead of paying
-    the O(pool) re-initialization per size.  This is the Monte-Carlo
-    engine's per-source fast path.
+    Returns one ``(num_sets, m)`` int32 matrix per size, in order, whose
+    rows are uniform ``m``-subsets of the eligible sites in random
+    order.  Each size takes one ``rng.random((num_sets, m))`` draw and
+    runs a partial Fisher-Yates shuffle on it, so row ``r`` of each
+    matrix equals the matching sequential :func:`sample_distinct_receivers`
+    call on the same generator.
+
+    With several sets, the shuffle is vectorized across them and the
+    ``num_sets`` pool copies are materialized once for the whole sweep:
+    after each size, only the O(m) positions it touched are restored
+    from the pool.  A single set instead tracks only its displaced
+    positions (:func:`_sparse_fisher_yates`), never copying the pool.
+    This is the Monte-Carlo engine's per-source fast path.
     """
     if num_sets < 1:
         raise SamplingError(f"num_sets must be >= 1, got {num_sets}")
     size_list = [int(m) for m in sizes]
     if not size_list:
         return []
-    if num_sets == 1:
-        return [
-            sample_distinct_receivers_batch(
-                num_nodes, m, 1, source=source, rng=rng
-            )
-            for m in size_list
-        ]
     for m in size_list:
         if m < 1:
             raise SamplingError(f"m must be >= 1, got {m}")
@@ -199,16 +159,23 @@ def sample_distinct_receivers_sweep(
     generator = ensure_rng(rng)
     _OBS_SETS.inc(num_sets * len(size_list), mode="distinct")
     size = pool.size
+    if num_sets == 1:
+        return [
+            _sparse_fisher_yates(
+                pool, _swap_targets(generator.random(m), size), m
+            )[np.newaxis, :]
+            for m in size_list
+        ]
     pool32 = pool.astype(np.int32)
     perm = np.repeat(pool32[np.newaxis, :], num_sets, axis=0)
     flat = perm.reshape(-1)
     base = np.arange(num_sets, dtype=np.int64) * size
     out = []
     for m in size_list:
-        u = generator.random((num_sets, m))
-        remaining = size - np.arange(m, dtype=np.int64)
-        swap = np.minimum((u * remaining).astype(np.int64), remaining - 1)
-        swap += np.arange(m, dtype=np.int64)
+        swap = _swap_targets(generator.random((num_sets, m)), size)
+        # The shuffle is sequential in i but vectorized across sets;
+        # precomputed flat swap indices keep each step to two gathers
+        # and two scatters.
         flat_swap = np.ascontiguousarray(swap.T + base)
         flat_prefix = np.ascontiguousarray(
             np.arange(m, dtype=np.int64)[:, np.newaxis] + base
@@ -235,7 +202,7 @@ def _sparse_fisher_yates(
 ) -> np.ndarray:
     """One partial Fisher-Yates row without materializing the pool copy.
 
-    Applies exactly the swap sequence of the vectorized batch path, but
+    Applies exactly the swap sequence of the vectorized path, but
     tracks only the O(m) displaced positions in a dict — the profitable
     layout when a single row is drawn (the scalar samplers), where the
     per-step numpy dispatch and the O(pool) copy would dominate.
@@ -285,9 +252,11 @@ def sample_receivers_with_replacement_sweep(
 ) -> List[np.ndarray]:
     """With-replacement matrices for a whole sweep of group sizes.
 
-    Value- and stream-identical to calling
-    :func:`sample_receivers_with_replacement_batch` once per size in
-    order; the eligible-site pool is built once for the sweep.
+    Returns one ``(num_sets, n)`` int32 matrix per size, in order, each
+    from one bounded-integer draw; numpy fills it row-major from the bit
+    stream, so row ``r`` of each matrix equals the matching sequential
+    :func:`sample_receivers_with_replacement` call on the same
+    generator.  The eligible-site pool is built once for the sweep.
     """
     if num_sets < 1:
         raise SamplingError(f"num_sets must be >= 1, got {num_sets}")
@@ -305,26 +274,3 @@ def sample_receivers_with_replacement_sweep(
         pool32[generator.integers(0, pool.size, size=(num_sets, n))]
         for n in size_list
     ]
-
-
-def sample_receivers_with_replacement_batch(
-    num_nodes: int,
-    n: int,
-    num_sets: int,
-    source: Optional[int] = None,
-    rng: RandomState = None,
-) -> np.ndarray:
-    """Draw ``num_sets`` with-replacement receiver sets at once.
-
-    Returns a ``(num_sets, n)`` int32 matrix from one bounded-integer
-    draw; numpy fills it row-major from the bit stream, so row ``r``
-    equals the ``r``-th sequential
-    :func:`sample_receivers_with_replacement` call on the same generator.
-    """
-    if num_sets < 1:
-        raise SamplingError(f"num_sets must be >= 1, got {num_sets}")
-    pool = _replacement_pool(num_nodes, n, source)
-    generator = ensure_rng(rng)
-    _OBS_SETS.inc(num_sets, mode="replacement")
-    idx = generator.integers(0, pool.size, size=(num_sets, n))
-    return pool.astype(np.int32)[idx]

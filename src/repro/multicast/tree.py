@@ -454,6 +454,23 @@ class DeliveryTree:
             ) from None
 
 
+def _spt_tree(
+    forest: ShortestPathForest, receivers: Sequence[int]
+) -> DeliveryTree:
+    """The shortest-path delivery tree of ``receivers`` over ``forest``."""
+    nodes = MulticastTreeCounter(forest).tree_nodes(receivers)
+    non_source = nodes[nodes != forest.source]
+    edges = np.column_stack(
+        [forest.parent[non_source], non_source]
+    ).astype(np.int64)
+    return DeliveryTree(
+        source=int(forest.source),
+        receivers=tuple(int(r) for r in receivers),
+        nodes=nodes,
+        edges=edges,
+    )
+
+
 def build_delivery_tree(
     graph: Graph,
     source: int,
@@ -467,14 +484,4 @@ def build_delivery_tree(
     create one :func:`~repro.graph.paths.bfs` forest per source and a
     :class:`MulticastTreeCounter` over it instead.
     """
-    forest = bfs(graph, source, tie_break=tie_break, rng=rng)
-    counter = MulticastTreeCounter(forest)
-    nodes = counter.tree_nodes(receivers)
-    non_source = nodes[nodes != forest.source]
-    edges = np.column_stack([forest.parent[non_source], non_source])
-    return DeliveryTree(
-        source=int(source),
-        receivers=tuple(int(r) for r in receivers),
-        nodes=nodes,
-        edges=edges,
-    )
+    return _spt_tree(bfs(graph, source, tie_break=tie_break, rng=rng), receivers)

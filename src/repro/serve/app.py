@@ -293,6 +293,9 @@ async def run_selftest(
 ) -> int:
     """One request per endpoint over real sockets; 0 iff all pass.
 
+    One more probe posts a ``NaN`` group size, which must come back as
+    a typed 400.
+
     With a ``plan`` (the CLI's ``--fault-plan``), the schedule is active
     while the probes run: the selftest then accepts *degraded* simulate
     answers (that is the behavior under test) but still fails on any
@@ -356,6 +359,15 @@ async def run_selftest(
                         f"simulate mismatch: {simulate['tree_size']} vs {tree}"
                     )
 
+            # json.dumps writes NaN, which json.loads accepts: a typed
+            # 400, never a 500.
+            status, body = await http_request(
+                "127.0.0.1", port, "POST", "/v1/simulate",
+                {"topology": topology, "m": float("nan")},
+            )
+            if status != 400:
+                failures.append(f"NaN m returned {status}, not 400: {body!r}")
+
             status, body = await http_request(
                 "127.0.0.1", port, "GET", "/healthz"
             )
@@ -375,5 +387,8 @@ async def run_selftest(
         print(f"selftest FAIL: {failure}")
     if not failures:
         suffix = f" (fault plan {plan.name!r} active)" if plan is not None else ""
-        print(f"selftest OK: estimate, simulate, healthz, metrics{suffix}")
+        print(
+            f"selftest OK: estimate, simulate, NaN rejection, healthz, "
+            f"metrics{suffix}"
+        )
     return 1 if failures else 0

@@ -37,6 +37,7 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
@@ -171,7 +172,17 @@ def _number(payload: Dict, key: str, *, required: bool = False) -> Optional[floa
         return None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ServeError(400, f"field {key!r} must be a number, got {value!r}")
-    return float(value)
+    # json.loads accepts NaN and Infinity, and integers too large for a
+    # float; none of them is a usable request field.
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ServeError(
+            400, f"field {key!r} must be a finite number, got {value!r}"
+        )
+    return number
 
 
 def _choice(payload: Dict, key: str, options: Tuple[str, ...], default: str) -> str:
@@ -491,10 +502,14 @@ class EstimationService:
         if (n is None) == (m is None):
             raise ServeError(400, "provide exactly one of 'n' and 'm'")
 
-        if receivers == "leaf":
-            population = num_leaf_sites(k, depth)
-        else:
-            population = num_interior_sites(k, depth)
+        # k ** depth overflows a float long before the closed forms do.
+        sites = num_leaf_sites if receivers == "leaf" else num_interior_sites
+        try:
+            population = sites(k, depth)
+        except OverflowError:
+            raise ServeError(
+                400, f"k={k}, depth={depth} overflows the closed forms"
+            ) from None
 
         if m is not None:
             n_value = float(draws_for_expected_distinct(m, population))

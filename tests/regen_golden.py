@@ -140,7 +140,7 @@ def compute_mc_tree_sizes() -> Dict:
     """
     from repro.graph.paths import bfs
     from repro.multicast.sampling import (
-        sample_receivers_with_replacement_batch,
+        sample_receivers_with_replacement_sweep,
     )
     from repro.multicast.tree import MulticastTreeCounter
     from repro.topology.kary import kary_tree
@@ -151,9 +151,9 @@ def compute_mc_tree_sizes() -> Dict:
     n_values = [1, 4, 16, 64, 256]
     means = []
     for n in n_values:
-        matrix = sample_receivers_with_replacement_batch(
-            tree.num_nodes, n, 32, source=0, rng=rng
-        )
+        matrix = sample_receivers_with_replacement_sweep(
+            tree.num_nodes, [n], 32, source=0, rng=rng
+        )[0]
         means.append(float(counter.tree_sizes_batch(matrix).mean()))
     return {
         "seed": GOLDEN_SEED,

@@ -24,10 +24,8 @@ from repro.graph.core import Graph
 from repro.graph.paths import bfs
 from repro.multicast.sampling import (
     sample_distinct_receivers,
-    sample_distinct_receivers_batch,
     sample_distinct_receivers_sweep,
     sample_receivers_with_replacement,
-    sample_receivers_with_replacement_batch,
     sample_receivers_with_replacement_sweep,
 )
 from repro.multicast.tree import MulticastTreeCounter
@@ -157,12 +155,51 @@ class TestBatchedCounting:
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
+def _assert_sweep_equals_sequential_scalar(
+    sweep, scalar, num_nodes, sizes, num_sets, source, seed
+):
+    """Every row of every size's matrix is the next sequential scalar
+    draw on a generator with the same seed."""
+    swept = sweep(
+        num_nodes, sizes, num_sets, source=source,
+        rng=np.random.default_rng(seed),
+    )
+    assert len(swept) == len(sizes)
+    scalar_rng = np.random.default_rng(seed)
+    for size, matrix in zip(sizes, swept):
+        assert matrix.dtype == np.int32
+        assert matrix.shape == (num_sets, size)
+        for row in matrix:
+            expected = scalar(num_nodes, size, source=source, rng=scalar_rng)
+            assert row.tolist() == expected.tolist()
+
+
+def _reference_distinct(num_nodes, m, source, rng):
+    """Textbook partial Fisher-Yates on a full pool copy: the stream
+    contract both distinct paths (single-set and vectorized) must keep."""
+    pool = np.asarray(
+        [v for v in range(num_nodes) if v != source], dtype=np.int64
+    )
+    u = rng.random(m)
+    for i in range(m):
+        j = i + min(int(u[i] * (pool.size - i)), pool.size - i - 1)
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[:m]
+
+
 class TestBatchedSampling:
+    """Both sweep samplers against sequential scalar draws.
+
+    The ``batch`` cases draw one size, the ``sweep`` cases several;
+    ``num_sets`` covers the single-set path (``1``) and the vectorized
+    one (``> 1``) in each.
+    """
+
     @given(
         seed=seeds,
         num_nodes=st.integers(3, 40),
         m=st.integers(1, 10),
-        num_sets=st.integers(1, 6),
+        num_sets=st.sampled_from([1, 2, 6]),
         exclude=st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
@@ -171,15 +208,17 @@ class TestBatchedSampling:
     ):
         m = min(m, num_nodes - 1)
         source = 0 if exclude else None
-        batch = sample_distinct_receivers_batch(
-            num_nodes, m, num_sets, source=source,
-            rng=np.random.default_rng(seed),
+        _assert_sweep_equals_sequential_scalar(
+            sample_distinct_receivers_sweep, sample_distinct_receivers,
+            num_nodes, [m], num_sets, source, seed,
         )
-        scalar_rng = np.random.default_rng(seed)
-        for row in batch:
-            expected = sample_distinct_receivers(
-                num_nodes, m, source=source, rng=scalar_rng
-            )
+        matrix = sample_distinct_receivers_sweep(
+            num_nodes, [m], num_sets, source=source,
+            rng=np.random.default_rng(seed),
+        )[0]
+        reference_rng = np.random.default_rng(seed)
+        for row in matrix:
+            expected = _reference_distinct(num_nodes, m, source, reference_rng)
             assert row.tolist() == expected.tolist()
             assert len(set(row.tolist())) == m
             if exclude:
@@ -189,65 +228,49 @@ class TestBatchedSampling:
         seed=seeds,
         num_nodes=st.integers(3, 40),
         n=st.integers(1, 12),
-        num_sets=st.integers(1, 6),
+        num_sets=st.sampled_from([1, 2, 6]),
     )
     @settings(max_examples=60, deadline=None)
     def test_replacement_batch_equals_sequential_scalar(
         self, seed, num_nodes, n, num_sets
     ):
-        batch = sample_receivers_with_replacement_batch(
-            num_nodes, n, num_sets, source=0,
-            rng=np.random.default_rng(seed),
+        _assert_sweep_equals_sequential_scalar(
+            sample_receivers_with_replacement_sweep,
+            sample_receivers_with_replacement,
+            num_nodes, [n], num_sets, 0, seed,
         )
-        scalar_rng = np.random.default_rng(seed)
-        for row in batch:
-            expected = sample_receivers_with_replacement(
-                num_nodes, n, source=0, rng=scalar_rng
-            )
-            assert row.tolist() == expected.tolist()
 
     @given(
         seed=seeds,
         num_nodes=st.integers(4, 40),
-        num_sets=st.integers(1, 6),
-        sizes=st.lists(st.integers(1, 12), min_size=1, max_size=5),
+        num_sets=st.sampled_from([1, 2, 6]),
+        sizes=st.lists(st.integers(1, 12), min_size=2, max_size=5),
     )
     @settings(max_examples=60, deadline=None)
     def test_distinct_sweep_equals_per_size_batches(
         self, seed, num_nodes, num_sets, sizes
     ):
         sizes = [min(m, num_nodes - 1) for m in sizes]
-        swept = sample_distinct_receivers_sweep(
-            num_nodes, sizes, num_sets, source=0,
-            rng=np.random.default_rng(seed),
+        _assert_sweep_equals_sequential_scalar(
+            sample_distinct_receivers_sweep, sample_distinct_receivers,
+            num_nodes, sizes, num_sets, 0, seed,
         )
-        batch_rng = np.random.default_rng(seed)
-        for m, matrix in zip(sizes, swept):
-            expected = sample_distinct_receivers_batch(
-                num_nodes, m, num_sets, source=0, rng=batch_rng
-            )
-            assert matrix.tolist() == expected.tolist()
 
     @given(
         seed=seeds,
         num_nodes=st.integers(3, 40),
-        num_sets=st.integers(1, 6),
-        sizes=st.lists(st.integers(1, 12), min_size=1, max_size=5),
+        num_sets=st.sampled_from([1, 2, 6]),
+        sizes=st.lists(st.integers(1, 12), min_size=2, max_size=5),
     )
     @settings(max_examples=60, deadline=None)
     def test_replacement_sweep_equals_per_size_batches(
         self, seed, num_nodes, num_sets, sizes
     ):
-        swept = sample_receivers_with_replacement_sweep(
-            num_nodes, sizes, num_sets, source=0,
-            rng=np.random.default_rng(seed),
+        _assert_sweep_equals_sequential_scalar(
+            sample_receivers_with_replacement_sweep,
+            sample_receivers_with_replacement,
+            num_nodes, sizes, num_sets, 0, seed,
         )
-        batch_rng = np.random.default_rng(seed)
-        for n, matrix in zip(sizes, swept):
-            expected = sample_receivers_with_replacement_batch(
-                num_nodes, n, num_sets, source=0, rng=batch_rng
-            )
-            assert matrix.tolist() == expected.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -1,32 +1,52 @@
-"""Tests for :mod:`repro.multicast.steiner`."""
+"""Tests for the Steiner grafting loop in :mod:`repro.multicast.builders`.
+
+``steiner-tm`` and ``dst-approx`` share one private loop,
+:func:`repro.multicast.builders._graft_tree`: one multi-source BFS from
+the tree per graft, then the chosen receiver's parent chain.  The
+Takahashi–Matsuyama cases below drive that loop directly, because the
+registered ``steiner-tm`` builder adds a best-of-SPT guard that would
+make every "never much worse than SPT" check vacuous.  A test-local
+copy of the two loops the registry used to carry is the oracle for
+both disciplines.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.exceptions import GraphError, SamplingError
+from repro.exceptions import GraphError
 from repro.graph.core import Graph
-from repro.graph.paths import bfs
-from repro.multicast.steiner import (
-    multi_source_distances,
-    takahashi_matsuyama_tree,
-)
+from repro.graph.paths import bfs, multi_source_bfs
+from repro.multicast.builders import _graft_tree, build_tree
 from repro.multicast.tree import MulticastTreeCounter
+from repro.topology.registry import (
+    EXTRA_TOPOLOGIES,
+    TOPOLOGY_NAMES,
+    build_topology,
+)
+
+
+def takahashi_matsuyama(graph, source, receivers):
+    """The unguarded Takahashi–Matsuyama heuristic."""
+    return _graft_tree(graph, source, receivers, nearest=True)
 
 
 class TestMultiSourceDistances:
+    """The BFS each graft step runs: nearest-seed distances, parent
+    chains that end at a seed."""
+
     def test_single_source_matches_bfs(self, small_mesh):
-        dist, parent = multi_source_distances(small_mesh, [0])
+        dist, parent = multi_source_bfs(small_mesh, [0])
         assert np.array_equal(dist, bfs(small_mesh, 0).dist)
 
     def test_two_sources_take_minimum(self, path_graph):
-        dist, _ = multi_source_distances(path_graph, [0, 4])
+        dist, _ = multi_source_bfs(path_graph, [0, 4])
         assert dist.tolist() == [0, 1, 2, 1, 0]
 
     def test_parent_chain_ends_at_a_source(self, small_mesh):
         sources = [0, 15]
-        dist, parent = multi_source_distances(small_mesh, sources)
+        dist, parent = multi_source_bfs(small_mesh, sources)
         for node in range(16):
             walk = node
             for _ in range(20):
@@ -36,23 +56,23 @@ class TestMultiSourceDistances:
             assert walk in sources
 
     def test_unreachable_stays_minus_one(self, disconnected_graph):
-        dist, _ = multi_source_distances(disconnected_graph, [0])
+        dist, _ = multi_source_bfs(disconnected_graph, [0])
         assert dist[4] == -1
 
     def test_empty_sources_rejected(self, path_graph):
-        with pytest.raises(SamplingError):
-            multi_source_distances(path_graph, [])
+        with pytest.raises(GraphError, match="at least one seed"):
+            multi_source_bfs(path_graph, [])
 
 
 class TestTakahashiMatsuyama:
     def test_single_receiver_is_shortest_path(self, path_graph):
-        tree = takahashi_matsuyama_tree(path_graph, 0, [4])
+        tree = takahashi_matsuyama(path_graph, 0, [4])
         assert tree.num_links == 4
 
     def test_tree_spans_all_receivers(self, small_mesh, rng):
         for _ in range(10):
             receivers = rng.choice(16, size=6, replace=False)
-            tree = takahashi_matsuyama_tree(small_mesh, 0, receivers)
+            tree = takahashi_matsuyama(small_mesh, 0, receivers)
             assert tree.covers(0)
             for r in receivers:
                 assert tree.covers(int(r))
@@ -60,13 +80,13 @@ class TestTakahashiMatsuyama:
 
     def test_edges_exist_in_graph(self, small_mesh, rng):
         receivers = rng.choice(16, size=5, replace=False)
-        tree = takahashi_matsuyama_tree(small_mesh, 3, receivers)
+        tree = takahashi_matsuyama(small_mesh, 3, receivers)
         for u, v in tree.edges:
             assert small_mesh.has_edge(int(u), int(v))
 
     def test_tree_is_connected_and_acyclic(self, small_mesh, rng):
         receivers = rng.choice(16, size=7, replace=False)
-        tree = takahashi_matsuyama_tree(small_mesh, 0, receivers)
+        tree = takahashi_matsuyama(small_mesh, 0, receivers)
         sub = Graph.from_edges(
             small_mesh.num_nodes, [tuple(int(x) for x in e) for e in tree.edges]
         )
@@ -89,7 +109,7 @@ class TestTakahashiMatsuyama:
         counter = MulticastTreeCounter(bfs(g, 0))
         assert int(bfs(g, 0).parent[4]) == 1  # the wasteful tie-break
         spt = counter.tree_size([3, 4])
-        steiner = takahashi_matsuyama_tree(g, 0, [3, 4]).num_links
+        steiner = takahashi_matsuyama(g, 0, [3, 4]).num_links
         assert spt == 4
         assert steiner == 3
 
@@ -103,23 +123,23 @@ class TestTakahashiMatsuyama:
                 range(1, 120), size=int(rng.integers(2, 20)), replace=False
             )
             spt = counter.tree_size(receivers)
-            steiner = takahashi_matsuyama_tree(g, 0, receivers).num_links
+            steiner = takahashi_matsuyama(g, 0, receivers).num_links
             # The heuristic is near-optimal; SPT is feasible for it to
             # beat, and it never does meaningfully worse.
             assert steiner <= spt * 1.1
 
     def test_duplicates_and_source_in_receivers(self, small_mesh):
-        tree = takahashi_matsuyama_tree(small_mesh, 0, [0, 5, 5, 10])
+        tree = takahashi_matsuyama(small_mesh, 0, [0, 5, 5, 10])
         assert tree.covers(5) and tree.covers(10)
 
     def test_full_group_spans_graph(self, binary_tree_d4):
         g = binary_tree_d4.graph
-        tree = takahashi_matsuyama_tree(g, 0, list(range(1, g.num_nodes)))
+        tree = takahashi_matsuyama(g, 0, list(range(1, g.num_nodes)))
         assert tree.num_links == g.num_nodes - 1
 
     def test_unreachable_receiver(self, disconnected_graph):
         with pytest.raises(GraphError, match="unreachable"):
-            takahashi_matsuyama_tree(disconnected_graph, 0, [4])
+            takahashi_matsuyama(disconnected_graph, 0, [4])
 
     def test_on_trees_equals_spt(self, binary_tree_d4, rng):
         """On a tree there is exactly one tree — both must find it."""
@@ -130,79 +150,101 @@ class TestTakahashiMatsuyama:
                 range(1, g.num_nodes), size=6, replace=False
             )
             assert (
-                takahashi_matsuyama_tree(g, 0, receivers).num_links
+                takahashi_matsuyama(g, 0, receivers).num_links
                 == counter.tree_size(receivers)
             )
 
 
-class TestRetargetedMultiSourceBfs:
-    """``multi_source_distances`` now rides ``graph.paths``' batched BFS.
+# ---------------------------------------------------------------------------
+# Oracle: the two graft loops the registry carried before they were merged
+# ---------------------------------------------------------------------------
 
-    The bespoke frontier loop this module used to carry was a
-    duplicate of the level-synchronous walk in
-    :func:`repro.graph.paths.bfs_from_many`; the retarget must be
-    *bit-identical*, so the old loop lives on here as the reference
-    implementation it is checked against.
-    """
 
-    @staticmethod
-    def _reference(graph, sources):
-        seed = np.unique(np.asarray(list(sources), dtype=np.int64))
-        n = graph.num_nodes
-        dist = np.full(n, -1, dtype=np.int32)
-        parent = np.full(n, -1, dtype=np.int32)
-        dist[seed] = 0
-        frontier = seed.astype(np.int32)
-        indptr, indices = graph.indptr, graph.indices
-        level = 0
-        while frontier.size:
-            level += 1
-            starts = indptr[frontier]
-            counts = indptr[frontier + 1] - starts
-            total = int(counts.sum())
-            if total == 0:
-                break
-            cum = np.cumsum(counts)
-            flat = np.arange(total, dtype=np.int64) - np.repeat(
-                cum - counts, counts
-            )
-            flat += np.repeat(starts, counts)
-            neighbours = indices[flat]
-            hops = np.repeat(frontier, counts)
-            fresh = dist[neighbours] < 0
-            neighbours = neighbours[fresh]
-            hops = hops[fresh]
-            if neighbours.size == 0:
-                break
-            uniq, first = np.unique(neighbours, return_index=True)
-            dist[uniq] = level
-            parent[uniq] = hops[first]
-            frontier = uniq.astype(np.int32)
-        return dist, parent
+def _oracle_graft(in_tree, edges, parent, target):
+    node = target
+    while node not in in_tree:
+        up = int(parent[node])
+        edges.append((up, node))
+        in_tree.add(node)
+        node = up
 
-    @pytest.mark.parametrize(
-        "name", ["arpa", "r100", "mbone", "as", "internet-70k"]
+
+def _oracle_arrays(in_tree, edges):
+    return (
+        np.asarray(sorted(in_tree), dtype=np.int64),
+        np.asarray(edges, dtype=np.int64).reshape(-1, 2),
     )
-    def test_bit_identical_to_the_old_loop(self, name):
-        from repro.topology.powerlaw import internet_like_graph
-        from repro.topology.registry import build_topology
 
-        if name == "internet-70k":
-            # Past 2**16 nodes, where the store build once switched modes.
-            graph = internet_like_graph(70_000, rng=5, stream="vectorized")
+
+def _oracle_tm(graph, source, receivers):
+    """Nearest-receiver grafting as a standalone loop over a set."""
+    wanted = {graph.check_node(int(r)) for r in receivers}
+    wanted.discard(source)
+    in_tree, edges = {source}, []
+    remaining = set(wanted)
+    while remaining:
+        dist, parent = multi_source_bfs(graph, sorted(in_tree))
+        reachable = [(int(dist[r]), r) for r in remaining if dist[r] >= 0]
+        if not reachable:
+            missing = sorted(remaining)[0]
+            raise GraphError(f"receiver {missing} is unreachable from the tree")
+        _, target = min(reachable)
+        _oracle_graft(in_tree, edges, parent, target)
+        remaining -= in_tree
+    return _oracle_arrays(in_tree, edges)
+
+
+def _oracle_dst(graph, source, receivers):
+    """Arrival-order joins, one BFS per receiver not yet in the tree."""
+    in_tree, edges = {source}, []
+    for raw in receivers:
+        target = graph.check_node(int(raw))
+        if target in in_tree:
+            continue
+        dist, parent = multi_source_bfs(graph, sorted(in_tree))
+        if dist[target] < 0:
+            raise GraphError(f"receiver {target} is unreachable from the tree")
+        _oracle_graft(in_tree, edges, parent, target)
+    return _oracle_arrays(in_tree, edges)
+
+
+def _assert_same_tree(tree, oracle):
+    nodes, edges = oracle
+    assert tree.nodes.dtype == nodes.dtype and tree.edges.dtype == edges.dtype
+    assert np.array_equal(tree.nodes, nodes)
+    assert np.array_equal(tree.edges, edges)
+
+
+@pytest.mark.parametrize(
+    "name", tuple(TOPOLOGY_NAMES) + tuple(EXTRA_TOPOLOGIES)
+)
+def test_graft_loop_matches_the_old_loops(name):
+    graph = build_topology(name, scale=0.15, rng=4)
+    rng = np.random.default_rng(23)
+    for size in (1, 3, 8, 20):
+        source = int(rng.integers(graph.num_nodes))
+        # Duplicates (as in with-replacement draws) and the source
+        # itself ride along.
+        receivers = rng.integers(0, graph.num_nodes, size=size).tolist()
+        receivers.append(source)
+        oracle_tm = _oracle_tm(graph, source, receivers)
+        _assert_same_tree(takahashi_matsuyama(graph, source, receivers), oracle_tm)
+        spt = build_tree("spt", graph, source, receivers)
+        guarded = build_tree("steiner-tm", graph, source, receivers)
+        if oracle_tm[1].shape[0] < spt.num_links:
+            _assert_same_tree(guarded, oracle_tm)
         else:
-            graph = build_topology(name, scale=0.25, rng=5)
-        rng = np.random.default_rng(41)
-        for trial in range(5):
-            k = int(rng.integers(1, 6))
-            sources = rng.choice(graph.num_nodes, size=k, replace=False)
-            dist, parent = multi_source_distances(graph, sources)
-            ref_dist, ref_parent = self._reference(graph, sources)
-            assert np.array_equal(dist, ref_dist), (name, trial)
-            assert np.array_equal(parent, ref_parent), (name, trial)
+            _assert_same_tree(guarded, (spt.nodes, spt.edges))
+        _assert_same_tree(
+            build_tree("dst-approx", graph, source, receivers),
+            _oracle_dst(graph, source, receivers),
+        )
 
-    def test_bit_identical_on_disconnected_graph(self, disconnected_graph):
-        dist, parent = multi_source_distances(disconnected_graph, [0, 1])
-        ref_dist, ref_parent = self._reference(disconnected_graph, [0, 1])
-        assert np.array_equal(dist, ref_dist)
-        assert np.array_equal(parent, ref_parent)
+
+def test_unreachable_messages_match_the_old_loops(disconnected_graph):
+    for nearest, oracle in ((True, _oracle_tm), (False, _oracle_dst)):
+        with pytest.raises(GraphError) as expected:
+            oracle(disconnected_graph, 0, [4, 1, 3])
+        with pytest.raises(GraphError) as got:
+            _graft_tree(disconnected_graph, 0, [4, 1, 3], nearest=nearest)
+        assert str(got.value) == str(expected.value)

@@ -5,7 +5,9 @@
 every topology builder in the registry, plus the degenerate shapes the
 row matrices could plausibly get wrong: disconnected graphs (``-1``
 rows), isolated sources, the single-node graph, duplicate sources, and
-the empty source list.
+the empty source list.  ``multi_source_bfs`` (one BFS seeded with a
+whole node set, the Steiner builders' per-graft search) is pinned
+against the frontier loop it replaced.
 """
 
 from __future__ import annotations
@@ -14,7 +16,12 @@ import numpy as np
 import pytest
 
 from repro.graph.core import Graph
-from repro.graph.paths import bfs, bfs_from_many, distances_from
+from repro.graph.paths import (
+    bfs,
+    bfs_from_many,
+    distances_from,
+    multi_source_bfs,
+)
 from repro.topology.registry import (
     EXTRA_TOPOLOGIES,
     TOPOLOGY_NAMES,
@@ -90,3 +97,75 @@ def test_many_sources_batched_vs_serial_on_powerlaw():
     rng = np.random.default_rng(0)
     sources = rng.integers(0, graph.num_nodes, size=24).tolist()
     _assert_rows_match(graph, sources)
+
+
+class TestRetargetedMultiSourceBfs:
+    """``multi_source_bfs`` rides ``graph.paths``' one BFS kernel.
+
+    The Steiner builders once carried their own multi-source frontier
+    loop; the retarget onto the shared kernel must be *bit-identical*,
+    so the old loop lives on here as the reference implementation it is
+    checked against.
+    """
+
+    @staticmethod
+    def _reference(graph, sources):
+        seed = np.unique(np.asarray(list(sources), dtype=np.int64))
+        n = graph.num_nodes
+        dist = np.full(n, -1, dtype=np.int32)
+        parent = np.full(n, -1, dtype=np.int32)
+        dist[seed] = 0
+        frontier = seed.astype(np.int32)
+        indptr, indices = graph.indptr, graph.indices
+        level = 0
+        while frontier.size:
+            level += 1
+            starts = indptr[frontier]
+            counts = indptr[frontier + 1] - starts
+            total = int(counts.sum())
+            if total == 0:
+                break
+            cum = np.cumsum(counts)
+            flat = np.arange(total, dtype=np.int64) - np.repeat(
+                cum - counts, counts
+            )
+            flat += np.repeat(starts, counts)
+            neighbours = indices[flat]
+            hops = np.repeat(frontier, counts)
+            fresh = dist[neighbours] < 0
+            neighbours = neighbours[fresh]
+            hops = hops[fresh]
+            if neighbours.size == 0:
+                break
+            uniq, first = np.unique(neighbours, return_index=True)
+            dist[uniq] = level
+            parent[uniq] = hops[first]
+            frontier = uniq.astype(np.int32)
+        return dist, parent
+
+    @pytest.mark.parametrize(
+        "name", ["arpa", "r100", "mbone", "as", "internet-70k"]
+    )
+    def test_bit_identical_to_the_old_loop(self, name):
+        from repro.topology.powerlaw import internet_like_graph
+        from repro.topology.registry import build_topology
+
+        if name == "internet-70k":
+            # Past 2**16 nodes, where the store build once switched modes.
+            graph = internet_like_graph(70_000, rng=5, stream="vectorized")
+        else:
+            graph = build_topology(name, scale=0.25, rng=5)
+        rng = np.random.default_rng(41)
+        for trial in range(5):
+            k = int(rng.integers(1, 6))
+            sources = rng.choice(graph.num_nodes, size=k, replace=False)
+            dist, parent = multi_source_bfs(graph, sources)
+            ref_dist, ref_parent = self._reference(graph, sources)
+            assert np.array_equal(dist, ref_dist), (name, trial)
+            assert np.array_equal(parent, ref_parent), (name, trial)
+
+    def test_bit_identical_on_disconnected_graph(self, disconnected_graph):
+        dist, parent = multi_source_bfs(disconnected_graph, [0, 1])
+        ref_dist, ref_parent = self._reference(disconnected_graph, [0, 1])
+        assert np.array_equal(dist, ref_dist)
+        assert np.array_equal(parent, ref_parent)

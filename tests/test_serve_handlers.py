@@ -430,6 +430,27 @@ class TestDispatchRouting:
         assert self._dispatch("POST", "/v1/estimate", b"{nope").status == 400
         assert self._dispatch("POST", "/v1/estimate", b"[1, 2]").status == 400
 
+    @pytest.mark.parametrize(
+        "path, body",
+        [
+            ("/v1/simulate", b'{"topology": "arpa", "m": NaN}'),
+            ("/v1/simulate", b'{"topology": "arpa", "m": Infinity}'),
+            ("/v1/estimate", b'{"k": 2, "depth": NaN, "m": 3}'),
+            ("/v1/estimate", b'{"k": 2, "depth": 3000, "m": 3}'),
+            ("/v1/estimate", b'{"k": 2, "depth": 3, "n": NaN}'),
+            (
+                "/v1/simulate",
+                b'{"topology": "arpa", "m": 5, "deadline_ms": NaN}',
+            ),
+        ],
+    )
+    def test_non_finite_or_overflowing_numbers_400(self, path, body):
+        # json.loads accepts NaN and Infinity; each body once answered
+        # 500, or 200 with a NaN that is not valid JSON.
+        response = self._dispatch("POST", path, body)
+        assert response.status == 400
+        assert "error" in json.loads(response.body)
+
     def test_unexpected_exception_becomes_500(self):
         async def go():
             service = EstimationService(small_config())

@@ -23,12 +23,10 @@ from repro.graph.core import Graph
 from repro.graph.paths import bfs
 from repro.multicast.builders import (
     BUILDER_NAMES,
-    BuilderSpec,
     build_redundant_set,
     build_tree,
     builder_spec,
     count_tree_links,
-    register_builder,
 )
 from repro.multicast.tree import DeliveryTree, MulticastTreeCounter
 from repro.topology.registry import (
@@ -119,24 +117,6 @@ class TestRegistry:
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ExperimentError, match="unknown tree algorithm"):
             builder_spec("opt")
-
-    def test_duplicate_registration_rejected(self):
-        spec = builder_spec("spt")
-        with pytest.raises(ExperimentError, match="already registered"):
-            register_builder(
-                BuilderSpec(
-                    name="spt",
-                    description="dup",
-                    redundancy=1,
-                    build=spec.build,
-                    count=spec.count,
-                )
-            )
-
-    def test_specs_describe_redundancy(self):
-        assert builder_spec("kdisjoint").redundancy > 1
-        for name in ("spt", "steiner-tm", "dst-approx"):
-            assert builder_spec(name).redundancy == 1
 
 
 # ---------------------------------------------------------------------------
