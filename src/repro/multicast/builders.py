@@ -179,18 +179,31 @@ def _as_matrix(receiver_matrix) -> np.ndarray:
 
 
 def _graft_chain(
-    in_tree: Set[int],
+    in_tree: np.ndarray,
     edges: List[Tuple[int, int]],
     parent: np.ndarray,
     target: int,
 ) -> None:
-    """Attach ``target``'s parent-chain path to the growing tree."""
+    """Attach ``target``'s parent-chain path to the growing tree.
+
+    ``in_tree`` is the tree's bool node mask, updated in place.
+    """
     node = target
-    while node not in in_tree:
+    while not in_tree[node]:
         up = int(parent[node])
         edges.append((up, node))
-        in_tree.add(node)
+        in_tree[node] = True
         node = up
+
+
+def _tree_arrays(
+    in_tree: np.ndarray, edges: List[Tuple[int, int]]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(nodes, edges)`` int64 arrays for a :class:`DeliveryTree`."""
+    return (
+        np.flatnonzero(in_tree).astype(np.int64, copy=False),
+        np.asarray(edges, dtype=np.int64).reshape(-1, 2),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -238,30 +251,51 @@ def _graft_tree(
     ``nearest`` the target is the closest such receiver by
     ``(distance, id)`` — Takahashi–Matsuyama, at most twice the Steiner
     optimum, *unguarded* — otherwise it is the first in arrival order
-    (``dst-approx``).  Costs one BFS per graft.
+    (``dst-approx``).  Costs one BFS per graft, stopped at the target's
+    level.
+
+    The stop is exact: a BFS level's claims depend only on earlier
+    levels, so every node the stopped search reaches carries the
+    ``dist`` and ``parent`` of the full one.  TM stops on any pending
+    receiver, and no pending receiver lies nearer than the stop level
+    (the search would have stopped there), so the nearest ``(dist, id)``
+    is the smallest pending id reached.  dst-approx stops on its target
+    alone.  A bit stays set once its receiver joins the tree: tree
+    nodes are seeds, and a seed is never claimed.
     """
     source = graph.check_node(source)
-    pending = [graph.check_node(int(r)) for r in receivers]
-    in_tree: Set[int] = {source}
+    pending = np.asarray(
+        [graph.check_node(int(r)) for r in receivers], dtype=np.int64
+    )
+    in_tree = np.zeros(graph.num_nodes, dtype=bool)
+    in_tree[source] = True
+    stop = np.zeros(graph.num_nodes, dtype=bool)
+    if nearest:
+        stop[pending] = True
     edges: List[Tuple[int, int]] = []
     while True:
-        pending = [r for r in pending if r not in in_tree]
-        if not pending:
+        pending = pending[~in_tree[pending]]
+        if not pending.size:
             break
-        dist, parent = multi_source_bfs(graph, sorted(in_tree))
+        if not nearest:
+            stop[pending[0]] = True
+        dist, parent = multi_source_bfs(
+            graph, np.flatnonzero(in_tree), stop=stop
+        )
         if nearest:
-            reachable = [(int(dist[r]), r) for r in pending if dist[r] >= 0]
-            target = min(reachable)[1] if reachable else min(pending)
+            reached = pending[dist[pending] >= 0]
+            target = int(reached.min() if reached.size else pending.min())
         else:
-            target = pending[0]
+            target = int(pending[0])
         if dist[target] < 0:
             raise GraphError(f"receiver {target} is unreachable from the tree")
         _graft_chain(in_tree, edges, parent, target)
+    nodes, edge_array = _tree_arrays(in_tree, edges)
     return DeliveryTree(
         source=source,
         receivers=tuple(int(r) for r in receivers),
-        nodes=np.asarray(sorted(in_tree), dtype=np.int64),
-        edges=np.asarray(edges, dtype=np.int64).reshape(-1, 2),
+        nodes=nodes,
+        edges=edge_array,
         algorithm="steiner-tm" if nearest else "dst-approx",
     )
 
@@ -429,20 +463,22 @@ def _backup_tree(
 
     Each receiver walks the pruned-subgraph parent chain when the
     subgraph still reaches it, else its primary chain; the shared
-    visited set admits one parent edge per node, so the union is a tree
+    visited mask admits one parent edge per node, so the union is a tree
     whatever mix of chains built it.
     """
-    in_tree: Set[int] = {source}
+    in_tree = np.zeros(sub_forest.num_nodes, dtype=bool)
+    in_tree[source] = True
     edges: List[Tuple[int, int]] = []
     for receiver in receivers:
         protected = sub_forest.dist[receiver] >= 0
         parent = sub_forest.parent if protected else primary_forest.parent
         _graft_chain(in_tree, edges, parent, receiver)
+    nodes, edge_array = _tree_arrays(in_tree, edges)
     return DeliveryTree(
         source=source,
         receivers=receivers,
-        nodes=np.asarray(sorted(in_tree), dtype=np.int64),
-        edges=np.asarray(edges, dtype=np.int64).reshape(-1, 2),
+        nodes=nodes,
+        edges=edge_array,
         algorithm="kdisjoint",
     )
 
@@ -468,6 +504,7 @@ def build_redundant_set(
             f"kdisjoint supports k in [2, {MAX_REDUNDANCY}], got {k}"
         )
     source = graph.check_node(source)
+    forest = _resolve_forest(graph, source, forest)
     primary = replace(
         _build_spt(graph, source, receivers, forest=forest),
         algorithm="kdisjoint",
@@ -480,12 +517,7 @@ def build_redundant_set(
     for _ in range(k - 1):
         sub = _pruned_graph(graph, banned)
         sub_forest = bfs(sub, source, tie_break="first")
-        backup = _backup_tree(
-            source,
-            reachable,
-            sub_forest,
-            _resolve_forest(graph, source, forest),
-        )
+        backup = _backup_tree(source, reachable, sub_forest, forest)
         trees.append(backup)
         banned |= _undirected_links(backup.edges)
     return RedundantTreeSet(

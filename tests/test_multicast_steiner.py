@@ -2,12 +2,13 @@
 
 ``steiner-tm`` and ``dst-approx`` share one private loop,
 :func:`repro.multicast.builders._graft_tree`: one multi-source BFS from
-the tree per graft, then the chosen receiver's parent chain.  The
+the tree per graft, stopped at the level that reaches its target, then
+the chosen receiver's parent chain.  The
 Takahashi–Matsuyama cases below drive that loop directly, because the
 registered ``steiner-tm`` builder adds a best-of-SPT guard that would
 make every "never much worse than SPT" check vacuous.  A test-local
-copy of the two loops the registry used to carry is the oracle for
-both disciplines.
+copy of the two loops the registry used to carry, each running the
+full BFS per graft, is the oracle for both disciplines.
 """
 
 from __future__ import annotations
@@ -221,7 +222,7 @@ def _assert_same_tree(tree, oracle):
 def test_graft_loop_matches_the_old_loops(name):
     graph = build_topology(name, scale=0.15, rng=4)
     rng = np.random.default_rng(23)
-    for size in (1, 3, 8, 20):
+    for size in (1, 3, 8, 20, 64):
         source = int(rng.integers(graph.num_nodes))
         # Duplicates (as in with-replacement draws) and the source
         # itself ride along.

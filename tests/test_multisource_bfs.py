@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.exceptions import NodeError
 from repro.graph.core import Graph
 from repro.graph.paths import (
     bfs,
@@ -86,8 +87,22 @@ def test_empty_source_list():
 
 def test_bad_source_rejected():
     graph = Graph.from_edges(3, [(0, 1), (1, 2)])
-    with pytest.raises(Exception):
+    with pytest.raises(NodeError):
         bfs_from_many(graph, [0, 3])[0]
+
+
+@pytest.mark.parametrize(
+    "seeds, bad", [([1, 5, -2, 3, -7, 0], -7), ([4, 1, 3, 9], 3)]
+)
+def test_multi_source_bad_seed_names_the_smallest(seeds, bad):
+    graph = Graph.from_edges(3, [(0, 1), (1, 2)])
+    with pytest.raises(NodeError) as caught:
+        multi_source_bfs(graph, seeds)
+    assert str(caught.value) == (
+        f"node {bad} is not a valid node id for a graph with 3 nodes "
+        f"(valid ids are 0..2)"
+    )
+    assert caught.value.node == bad
 
 
 def test_many_sources_batched_vs_serial_on_powerlaw():

@@ -269,6 +269,30 @@ def test_kdisjoint_rejects_bad_k():
             build_redundant_set(graph, 0, [2], k=bad)
 
 
+def test_kdisjoint_resolves_the_primary_forest_once(monkeypatch):
+    """Without ``forest=``, k=3 runs one BFS on the original graph plus
+    one per backup on its pruned copy, and builds the same trees."""
+    from repro.multicast import builders
+
+    graph = build_topology("arpa", scale=0.5, rng=3)
+    source, receivers = 0, [5, 9, 17, 23, 30]
+    explicit = build_redundant_set(
+        graph, source, receivers, k=3, forest=bfs(graph, source)
+    )
+    searched = []
+
+    def counting_bfs(g, *args, **kwargs):
+        searched.append(g is graph)
+        return bfs(g, *args, **kwargs)
+
+    monkeypatch.setattr(builders, "bfs", counting_bfs)
+    resolved = build_redundant_set(graph, source, receivers, k=3)
+    assert searched == [True, False, False]
+    for got, want in zip(resolved.trees, explicit.trees, strict=True):
+        assert np.array_equal(got.nodes, want.nodes)
+        assert np.array_equal(got.edges, want.edges)
+
+
 # ---------------------------------------------------------------------------
 # Forest validation and error paths
 # ---------------------------------------------------------------------------
