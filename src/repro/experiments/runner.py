@@ -18,9 +18,14 @@ Execution
 ---------
 Per (source, size) the runner draws the whole ``Nrcvr × size`` receiver
 matrix in O(1) RNG calls (:mod:`repro.multicast.sampling`), then counts
-the source's entire sweep — every size, every receiver set — in one flat
-vectorized ancestor walk
+the source's entire sweep — every size, every receiver set — in one call
 (:meth:`repro.multicast.tree.MulticastTreeCounter.count_trees_and_unicast`).
+That call picks one of two exact paths.  With at least
+``MulticastTreeCounter._PREORDER_MIN_DENSITY`` (2, measured) receivers
+per reachable node — the paper's sweep brings ~43 — it sorts each row's
+preorder ranks and reads ``L = Σ depth(rᵢ) + (m − 1) − Σ min depth over
+(rᵢ₋₁, rᵢ]`` from a range-min table; sparser calls, such as store-backed
+million-node sweeps, take one flat vectorized ancestor walk.
 The batched samplers consume the same random stream as repeated
 one-sample draws, so the counts are **bit-identical** to the
 one-sample-at-a-time loop of the methodology (the tier-1 suite keeps
@@ -276,22 +281,36 @@ def _partials_from_counts(
     arrays over the swept sizes; ``count`` holds the number of samples
     whose ratio was well-defined (``ū > 0``).
     """
+    # Every size has the same rows, so the counts stack into
+    # (num_sizes, rows) arrays.
+    links = np.array(links_list, dtype=float)
+    mean_path = np.array(totals_list) / np.array(size_list)[:, None]
+    if (mean_path > 0).all():
+        # Every ratio is defined (always, when the source site is
+        # excluded).  Row sums of a C-contiguous array are the same
+        # pairwise sums as np.sum over each row alone.
+        return (
+            np.sum(links / mean_path, axis=1),
+            links.sum(axis=1),
+            np.sum(links * links, axis=1),
+            mean_path.sum(axis=1),
+            np.full(len(size_list), links.shape[1], dtype=np.int64),
+        )
     num_sizes = len(size_list)
     ratio_sum = np.zeros(num_sizes)
     tree_sum = np.zeros(num_sizes)
     tree_sq_sum = np.zeros(num_sizes)
     path_sum = np.zeros(num_sizes)
     count = np.zeros(num_sizes, dtype=np.int64)
-    for size_idx, size in enumerate(size_list):
-        links = links_list[size_idx]
-        mean_path = totals_list[size_idx] / size
-        valid = mean_path > 0
-        kept = links[valid].astype(float)
-        count[size_idx] = int(np.count_nonzero(valid))
-        ratio_sum[size_idx] = float(np.sum(kept / mean_path[valid]))
+    for size_idx in range(num_sizes):
+        valid = mean_path[size_idx] > 0
+        kept = links[size_idx][valid]
+        paths = mean_path[size_idx][valid]
+        count[size_idx] = kept.size
+        ratio_sum[size_idx] = float(np.sum(kept / paths))
         tree_sum[size_idx] = float(kept.sum())
         tree_sq_sum[size_idx] = float(np.sum(kept * kept))
-        path_sum[size_idx] = float(mean_path[valid].sum())
+        path_sum[size_idx] = float(paths.sum())
     return ratio_sum, tree_sum, tree_sq_sum, path_sum, count
 
 

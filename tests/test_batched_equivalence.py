@@ -28,7 +28,9 @@ from repro.multicast.sampling import (
     sample_receivers_with_replacement,
     sample_receivers_with_replacement_sweep,
 )
-from repro.multicast.tree import MulticastTreeCounter
+from repro import obs
+from repro.exceptions import GraphError
+from repro.multicast.tree import MulticastTreeCounter, _preorder_tables
 from repro.topology.registry import build_topology
 
 # ---------------------------------------------------------------------------
@@ -88,6 +90,28 @@ def counting_cases(draw):
 # Layer 1: vectorized tree counting
 # ---------------------------------------------------------------------------
 
+#: Both batched counting paths.  A counter is forced onto one by its
+#: receivers-per-node threshold: 0 always ranks in preorder, infinity
+#: always walks.
+COUNTING_PATHS = {"walk": float("inf"), "preorder": 0}
+
+
+def _forced(forest, path: str) -> MulticastTreeCounter:
+    counter = MulticastTreeCounter(forest)
+    counter._PREORDER_MIN_DENSITY = COUNTING_PATHS[path]
+    return counter
+
+
+def _assert_paths_match_scalar(forest, matrix) -> None:
+    """Both forced paths, batched and fused, equal the scalar loop."""
+    matrix = np.asarray(matrix)
+    scalar = [MulticastTreeCounter(forest).tree_size(row) for row in matrix]
+    for path in COUNTING_PATHS:
+        counter = _forced(forest, path)
+        assert counter.tree_sizes_batch(matrix).tolist() == scalar, path
+        links, _ = counter.count_trees_and_unicast([matrix])
+        assert links[0].tolist() == scalar, path
+
 
 class TestBatchedCounting:
     @given(case=counting_cases())
@@ -98,9 +122,10 @@ class TestBatchedCounting:
     )
     def test_tree_sizes_batch_matches_scalar_loop(self, case):
         counter, matrix = case
-        batched = counter.tree_sizes_batch(matrix)
         scalar = [counter.tree_size(row) for row in matrix]
-        assert batched.tolist() == scalar
+        for path in COUNTING_PATHS:
+            batched = _forced(counter.forest, path).tree_sizes_batch(matrix)
+            assert batched.tolist() == scalar, path
 
     @given(case=counting_cases())
     @settings(
@@ -122,30 +147,209 @@ class TestBatchedCounting:
     )
     def test_fused_count_matches_separate_batches(self, case):
         counter, matrix = case
-        # Split into two blocks to exercise the multi-block walk.
+        # Split into two blocks to exercise the multi-block count.
         cut = matrix.shape[0] // 2
         blocks = [b for b in (matrix[:cut], matrix[cut:]) if b.shape[0]]
-        links, totals = counter.count_trees_and_unicast(blocks)
-        assert len(links) == len(blocks) == len(totals)
-        for block, block_links, block_totals in zip(blocks, links, totals):
-            assert block_links.tolist() == counter.tree_sizes_batch(
-                block
-            ).tolist()
-            assert block_totals.tolist() == counter.unicast_totals_batch(
-                block
-            ).tolist()
+        for path in COUNTING_PATHS:
+            fused = _forced(counter.forest, path)
+            links, totals = fused.count_trees_and_unicast(blocks)
+            assert len(links) == len(blocks) == len(totals)
+            for block, block_links, block_totals in zip(blocks, links, totals):
+                assert block_links.tolist() == [
+                    counter.tree_size(row) for row in block
+                ], path
+                assert block_totals.tolist() == counter.unicast_totals_batch(
+                    block
+                ).tolist()
 
     def test_chunked_walk_matches_unchunked(self):
         """Forcing tiny walk chunks must not change any count."""
         graph = build_topology("internet", scale=0.05, rng=0)
         forest = bfs(graph, 0)
-        counter = MulticastTreeCounter(forest)
+        # 1088 receivers on ~500 nodes would take the preorder path, so
+        # both counters are forced onto the walk.
+        counter = _forced(forest, "walk")
         rng = np.random.default_rng(7)
         matrix = rng.integers(0, graph.num_nodes, size=(64, 17))
         expected = counter.tree_sizes_batch(matrix)
-        tiny = MulticastTreeCounter(forest)
+        tiny = _forced(forest, "walk")
         tiny._WALK_SCRATCH_BYTES = 4 * tiny._key_span  # one row per chunk
+        chunks = []
+        walk_chunk = tiny._walk_chunk
+        tiny._walk_chunk = lambda *a: chunks.append(a[1]) or walk_chunk(*a)
         assert tiny.tree_sizes_batch(matrix).tolist() == expected.tolist()
+        assert chunks == [1] * matrix.shape[0]
+        assert expected.tolist() == [counter.tree_size(r) for r in matrix]
+        # Chunks that straddle the two blocks of a fused call.
+        links, _ = tiny.count_trees_and_unicast([matrix[:5], matrix[5:]])
+        assert np.concatenate(links).tolist() == expected.tolist()
+
+    def test_epoch_wrap_leaves_counts_unchanged(self):
+        """Near the int32 limit the walk zeroes its stamps and restarts
+        the epoch; counts before and after the reset must agree."""
+        forest = bfs(build_topology("internet", scale=0.05, rng=0), 0)
+        counter = _forced(forest, "walk")
+        matrix = np.random.default_rng(3).integers(
+            0, forest.num_nodes, size=(16, 9)
+        )
+        expected = counter.tree_sizes_batch(matrix).tolist()
+        limit = np.iinfo(np.int32).max
+        counter._batch_epoch = limit - 3
+        for _ in range(4):  # crosses the reset
+            assert counter.tree_sizes_batch(matrix).tolist() == expected
+        assert counter._batch_epoch < limit - 3
+
+    def test_disconnected_graph_counts_source_component(self):
+        # Components {0..4} (a path with a branch) and {5, 6}, plus 7.
+        graph = Graph.from_edges(
+            8, [(0, 1), (1, 2), (2, 3), (1, 4), (5, 6)]
+        )
+        forest = bfs(graph, 1)
+        matrix = np.random.default_rng(0).choice(
+            [0, 1, 2, 3, 4], size=(12, 6)
+        )
+        _assert_paths_match_scalar(forest, matrix)
+        for path in COUNTING_PATHS:
+            with pytest.raises(GraphError, match="unreachable"):
+                _forced(forest, path).tree_sizes_batch([[0, 6]])
+
+    def test_deep_path_uses_wide_depth_dtype(self):
+        """Eccentricity >= 127 overflows int8 depths (plus the depth + 1
+        row): the preorder tables widen to int32, and counts at every
+        depth must stay exact."""
+        n = 300
+        graph = Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
+        forest = bfs(graph, 20)  # eccentricity 279 toward node 299
+        _, table, _, _ = _preorder_tables(
+            forest.dist.astype(np.int32), forest.parent.astype(np.int32)
+        )
+        assert table.dtype == np.int32
+        rng = np.random.default_rng(5)
+        matrix = rng.integers(0, n, size=(20, 7))
+        matrix[0] = [299, 0, 150, 20, 21, 298, 128]
+        _assert_paths_match_scalar(forest, matrix)
+
+    def test_shallow_forest_uses_int8_depths(self):
+        forest = bfs(build_topology("internet", scale=0.05, rng=0), 0)
+        _, table, _, _ = _preorder_tables(
+            forest.dist.astype(np.int32), forest.parent.astype(np.int32)
+        )
+        assert table.dtype == np.int8
+
+    def test_with_replacement_duplicates(self):
+        graph = build_topology("internet", scale=0.05, rng=0)
+        forest = bfs(graph, 3)
+        # Far more draws than nodes: every row is mostly duplicates.
+        for matrix in sample_receivers_with_replacement_sweep(
+            graph.num_nodes, [1, 40, 3 * graph.num_nodes], 6,
+            source=3, rng=np.random.default_rng(8),
+        ):
+            _assert_paths_match_scalar(forest, matrix)
+
+    def test_source_may_be_a_receiver(self):
+        """``exclude_source_site=False``: the source (rank 0, depth 0)
+        can sit anywhere in a row, alone or with duplicates."""
+        graph = build_topology("internet", scale=0.05, rng=0)
+        source = 11
+        forest = bfs(graph, source)
+        matrices = sample_distinct_receivers_sweep(
+            graph.num_nodes, [1, 5, 60], 40, source=None,
+            rng=np.random.default_rng(9),
+        )
+        assert any((m == source).any() for m in matrices)
+        for matrix in matrices:
+            _assert_paths_match_scalar(forest, matrix)
+        for row in ([source], [source, source], [source, 0, source]):
+            _assert_paths_match_scalar(forest, [row])
+
+    def test_extreme_group_sizes(self):
+        """m = 0 and m = 1 (no adjacent pairs) and m = n - 1 (every
+        non-source node, so L = n - 1)."""
+        graph = build_topology("internet", scale=0.05, rng=0)
+        n = graph.num_nodes
+        forest = bfs(graph, 0)
+        _assert_paths_match_scalar(forest, np.zeros((3, 0), dtype=np.int64))
+        one, everyone = sample_distinct_receivers_sweep(
+            n, [1, n - 1], 5, source=0, rng=np.random.default_rng(4)
+        )
+        _assert_paths_match_scalar(forest, one)
+        _assert_paths_match_scalar(forest, everyone)
+        for path in COUNTING_PATHS:
+            links = _forced(forest, path).tree_sizes_batch(everyone)
+            assert links.tolist() == [n - 1] * 5
+
+
+class TestCountingPathChoice:
+    """The receivers-per-reachable-node rule, pinned on workload shapes:
+    paper-sweep-like calls rank in preorder, sparse store-backed and
+    single-size simulation calls keep the walk."""
+
+    @pytest.fixture
+    def path_calls(self, monkeypatch):
+        calls = {"walk": 0, "preorder": 0}
+        for path, attr in (("walk", "_walk_blocks"),
+                           ("preorder", "_preorder_blocks")):
+            original = getattr(MulticastTreeCounter, attr)
+
+            def counted(self, *args, _path=path, _original=original):
+                calls[_path] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(MulticastTreeCounter, attr, counted)
+        return calls
+
+    @staticmethod
+    def _strategy_counts():
+        series = obs.default_registry().get("repro_tree_counts_total")
+        return {s: series.value(strategy=s) for s in COUNTING_PATHS}
+
+    def test_paper_sweep_shape_takes_preorder(self, path_calls):
+        # The paper sweep: 10 log-spaced sizes up to n/4, 100 sets each
+        # (~43 receivers per node at 10k nodes; ~60 at these 500).
+        graph = build_topology("internet", scale=0.05, rng=0)
+        sizes = sorted({int(v) for v in np.rint(
+            np.logspace(0, np.log10(graph.num_nodes // 4), 10))})
+        before = self._strategy_counts()
+        measure_sweep(
+            graph, sizes, mode="distinct",
+            config=MonteCarloConfig(num_sources=3, num_receiver_sets=100),
+            rng=0,
+        )
+        assert path_calls == {"walk": 0, "preorder": 3}
+        after = self._strategy_counts()
+        assert after["preorder"] - before["preorder"] == 3
+        assert after["walk"] == before["walk"]
+
+    def test_sparse_calls_keep_the_walk(self, path_calls):
+        graph = build_topology("internet", scale=0.05, rng=0)
+        n = graph.num_nodes
+        # million-store: 8 sets over sizes up to n/1000 (~0.01 per node);
+        # serve-exact: 20 sets of one size (at most ~0.2 per node).
+        measure_sweep(
+            graph, [1, 2], mode="distinct",
+            config=MonteCarloConfig(num_sources=2, num_receiver_sets=8),
+            rng=1,
+        )
+        measure_sweep(
+            graph, [n // 100], mode="replacement",
+            config=MonteCarloConfig(num_sources=2, num_receiver_sets=20),
+            rng=2,
+        )
+        assert path_calls == {"walk": 4, "preorder": 0}
+
+    def test_threshold_is_per_reachable_node(self, path_calls):
+        """A source in a small component counts against that component,
+        not the whole graph."""
+        graph = Graph.from_edges(
+            40, [(0, 1), (1, 2)] + [(v, v + 1) for v in range(3, 39)]
+        )
+        counter = MulticastTreeCounter(bfs(graph, 0))
+        k = counter._PREORDER_MIN_DENSITY
+        # 3 reachable nodes: 3k receivers is dense there, though sparse
+        # against all 40.
+        counter.tree_sizes_batch(np.zeros((3, k), dtype=np.int64))
+        counter.tree_sizes_batch(np.zeros((3, k - 1), dtype=np.int64))
+        assert path_calls == {"walk": 1, "preorder": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +518,46 @@ def _scalar_source_counts(
         links_list.append(links)
         totals_list.append(totals)
     return links_list, totals_list
+
+
+def _per_size_partials(size_list, links_list, totals_list):
+    """The per-size loop :func:`runner._partials_from_counts` must equal
+    bit for bit: each size reduced alone over its defined ratios."""
+    out = [np.zeros(len(size_list)) for _ in range(4)]
+    count = np.zeros(len(size_list), dtype=np.int64)
+    for i, size in enumerate(size_list):
+        mean_path = totals_list[i] / size
+        valid = mean_path > 0
+        kept = links_list[i][valid].astype(float)
+        count[i] = int(np.count_nonzero(valid))
+        out[0][i] = float(np.sum(kept / mean_path[valid]))
+        out[1][i] = float(kept.sum())
+        out[2][i] = float(np.sum(kept * kept))
+        out[3][i] = float(mean_path[valid].sum())
+    return (*out, count)
+
+
+class TestPartialsFromCounts:
+    @pytest.mark.parametrize("rows", [1, 7, 100, 8193, 20000])
+    @pytest.mark.parametrize("with_zero_paths", [False, True])
+    def test_matches_per_size_loop(self, rows, with_zero_paths):
+        rng = np.random.default_rng(rows)
+        size_list = [1, 3, 17, 250]
+        links_list = [
+            rng.integers(1, 5000, size=rows) for _ in size_list
+        ]
+        totals_list = [
+            rng.integers(1, 40 * size, size=rows) for size in size_list
+        ]
+        if with_zero_paths:
+            # Receivers all at the source: ū = 0, the ratio undefined.
+            totals_list[1][::3] = 0
+            totals_list[3][:] = 0
+        got = runner._partials_from_counts(size_list, links_list, totals_list)
+        expected = _per_size_partials(size_list, links_list, totals_list)
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
 
 
 class TestEngineEquivalence:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.exceptions import GraphError, SamplingError
+from repro.exceptions import GraphError, NodeError, SamplingError
 from repro.graph.paths import bfs
 from repro.multicast.tree import (
     DeliveryTree,
@@ -113,6 +113,43 @@ class TestUnicastTotals:
         counter = MulticastTreeCounter(bfs(disconnected_graph, 0))
         with pytest.raises(GraphError, match="unreachable"):
             counter.unicast_total([0, 4])
+
+
+class TestReceiverIds:
+    """Ids outside ``0..num_nodes-1`` are caller errors on every entry
+    point: a negative id must not wrap to a real node, and one past the
+    end must not surface as a bare ``IndexError`` from a gather."""
+
+    @pytest.mark.parametrize("bad", [-1, 5])
+    @pytest.mark.parametrize(
+        "count",
+        [
+            lambda c, ids: c.tree_size(ids),
+            lambda c, ids: c.tree_nodes(ids),
+            lambda c, ids: c.unicast_total(ids),
+            lambda c, ids: c.tree_sizes_batch([ids]),
+            lambda c, ids: c.unicast_totals_batch([ids]),
+            lambda c, ids: c.count_trees_and_unicast([[ids]]),
+        ],
+        ids=[
+            "tree_size", "tree_nodes", "unicast_total", "tree_sizes_batch",
+            "unicast_totals_batch", "count_trees_and_unicast",
+        ],
+    )
+    def test_out_of_range_receiver_raises_node_error(
+        self, path_graph, count, bad
+    ):
+        counter = MulticastTreeCounter(bfs(path_graph, 0))
+        with pytest.raises(NodeError) as excinfo:
+            count(counter, [2, bad, 3])
+        assert excinfo.value.node == bad
+        assert excinfo.value.num_nodes == 5
+
+    def test_first_bad_id_in_row_major_order_is_reported(self, path_graph):
+        counter = MulticastTreeCounter(bfs(path_graph, 0))
+        with pytest.raises(NodeError) as excinfo:
+            counter.tree_sizes_batch([[1, 2], [7, -3]])
+        assert excinfo.value.node == 7
 
 
 class TestDeliveryTree:
