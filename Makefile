@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install lint lint-changed lint-smoke test test-fast bench bench-smoke builders-smoke serve-smoke chaos-smoke obs-smoke fleet-smoke scale-smoke regen-golden repro repro-paper examples clean
+.PHONY: install lint lint-changed lint-smoke test test-fast bench bench-smoke serve-smoke chaos-smoke obs-smoke fleet-smoke scale-smoke regen-golden repro repro-paper examples clean
 
 install:
 	pip install -e . || $(PYTHON) setup.py develop
@@ -27,7 +27,7 @@ lint-changed:
 lint-smoke:
 	PYTHONPATH=src $(PYTHON) benchmarks/lint_smoke.py
 
-test: lint lint-smoke serve-smoke chaos-smoke obs-smoke fleet-smoke builders-smoke
+test: lint lint-smoke serve-smoke chaos-smoke obs-smoke fleet-smoke
 	$(PYTHON) -m pytest tests/ --durations=10
 
 # Inner-loop run: skips golden/slow/scale suites and the smoke gates.
@@ -37,19 +37,12 @@ test-fast:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# Seconds-long engine-throughput sanity run (no trajectory record).
+# Seconds-long engine-throughput sanity run.
 # The parallel floor is hardware-aware — speedup over the 1-worker
 # batched baseline must reach 0.6 x min(workers, cpus) — so multi-worker
 # sweeps that regress below one core fail even on a 1-CPU box.
 bench-smoke:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_runner_scaling.py --smoke --no-record --check-parallel-floor 0.6
-
-# Per-algorithm tree-construction throughput across the builder
-# registry, plus the exact cross-builder orderings (Steiner <= SPT <=
-# k-disjoint union on identical draws).  Lint-gated like the other
-# trajectory benches.
-builders-smoke: lint
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_builders.py --smoke --no-record
+	PYTHONPATH=src $(PYTHON) benchmarks/bench_runner_scaling.py --smoke --check-parallel-floor 0.6
 
 # End-to-end estimation-service probe: real sockets, all four endpoints.
 serve-smoke:
@@ -62,17 +55,16 @@ serve-smoke:
 # fleet not fall below half of one core while real multi-core demands
 # scaling.
 fleet-smoke: lint
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_fleet.py --smoke --no-record --check-fleet-floor 0.5
+	PYTHONPATH=src $(PYTHON) benchmarks/bench_fleet.py --smoke --check-fleet-floor 0.5
 
 # Million-node tier: builds internet_like_graph at n=1M, runs a seeded
 # sweep off the mmap'd DistanceStore, and asserts the documented memory
 # ceilings (peak RSS <= 3 GB via getrusage, <= 512 MB tracemalloc for the
-# vectorized build) plus a same-box generator speedup floor — relative to
-# this machine's own legacy-loop timing, so the gate is hardware-aware.
-# Excluded from `make test-fast`; the bench smoke rides along untimed.
+# vectorized build) plus a same-box generator speedup floor (>= 10x at
+# 56k) — relative to this machine's own legacy-loop timing, so the gate
+# is hardware-aware.  Excluded from `make test-fast`.
 scale-smoke: lint
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_topology_scale.py -m scale -q
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_topology_scale.py --smoke --no-record --check-speedup 10
 
 # Seeded fault schedules vs the serving invariants + no-op fire() budget.
 chaos-smoke:

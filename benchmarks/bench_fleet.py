@@ -3,12 +3,11 @@
 Boots two fleets over real sockets — a 1-worker baseline and an
 N-worker fleet on the same :class:`ServiceConfig` — and drives both
 with a concurrent connection-per-request client, then repeats the
-fleet phase while SIGKILLing one worker mid-load.  Appends one record
-to the ``BENCH_serve.json`` trajectory:
+fleet phase while SIGKILLing one worker mid-load:
 
 1. **single phase** — 1 worker, C concurrent clients.  Aggregate req/s
    and p50/p99 over the socket (so the number includes kernel accept
-   and HTTP framing, unlike ``bench_serve_load``'s in-process figures).
+   and HTTP framing).
 2. **fleet phase** — N workers on one port (``SO_REUSEPORT`` or the
    shared-listener fallback, whichever the kernel gives).  Reports
    aggregate req/s and ``per_worker_efficiency`` =
@@ -17,8 +16,8 @@ to the ``BENCH_serve.json`` trajectory:
    below is what is hardware-honest, not the raw efficiency.
 3. **kill phase** — the same load while one worker is SIGKILLed at
    one-third progress.  The retrying client must land every request
-   (lost = 0) and the recorded p99 includes any retry stalls — the
-   price of a worker death, pinned.
+   (lost = 0) and the reported p99 includes any retry stalls — the
+   price of a worker death.
 
 The ``--check-fleet-floor X`` gate is hardware-aware like
 ``bench_runner_scaling``'s: it requires
@@ -28,20 +27,18 @@ while a many-core box demands real scaling.
 
 Usage::
 
-    python benchmarks/bench_fleet.py            # full workload, records
-    python benchmarks/bench_fleet.py --smoke --no-record --check-fleet-floor 0.5
+    python benchmarks/bench_fleet.py            # full workload
+    python benchmarks/bench_fleet.py --smoke --check-fleet-floor 0.5
 """
 
 from __future__ import annotations
 
 import argparse
 import asyncio
-import json
 import os
 import signal
 import sys
 import time
-from pathlib import Path
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -50,8 +47,6 @@ from repro.serve import ServiceConfig
 from repro.serve.app import http_request
 from repro.serve.fleet import FleetConfig, FleetSupervisor
 from repro.utils.rng import ensure_rng
-
-DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_serve.json"
 
 #: ``m_hi`` stays inside the served table's grid (r100 covers 1..99,
 #: arpa 1..46) so every request is a table interpolation — the fleet's
@@ -173,17 +168,6 @@ async def _bench(topology: str, requests: int, concurrency: int,
             for m in rng.integers(1, m_hi + 1, size=requests)
         ]
 
-    workload = {
-        "benchmark": "fleet",
-        "topology": topology,
-        "num_requests": requests,
-        "concurrency": concurrency,
-        "workers": workers,
-        "num_sources": sources,
-        "num_receiver_sets": receiver_sets,
-        "m_range": [1, m_hi],
-        "mode": "distinct",
-    }
     print(f"workload: {topology}, {requests} socket requests x "
           f"{concurrency} concurrent clients, {workers}-worker fleet, "
           f"{cpus} cpu(s)")
@@ -212,7 +196,7 @@ async def _bench(topology: str, requests: int, concurrency: int,
             fleet.port, await payloads_for(fleet), concurrency,
             kill_pid_at={"pid": victim, "after": requests // 3},
         )
-        # Let supervision finish before stop() so the record reflects a
+        # Let supervision finish before stop() so the result reflects a
         # healed fleet, and assert nothing was lost.
         deadline = time.monotonic() + 60.0
         while time.monotonic() < deadline:
@@ -246,34 +230,7 @@ async def _bench(topology: str, requests: int, concurrency: int,
     print(f"  speedup fleet-vs-single {speedup:.2f}x, per-worker "
           f"efficiency {efficiency:.2f} on {cpus} cpu(s)")
 
-    return {
-        "workload": workload,
-        "cpus": cpus,
-        "single_phase": single,
-        "fleet_phase": fleet_stats,
-        "kill_phase": kill_stats,
-        "speedup_fleet_vs_single": round(speedup, 3),
-        "per_worker_efficiency": round(efficiency, 3),
-        "cpu_note": (
-            f"{workers} workers on {cpus} cpu(s): ideal aggregate is "
-            f"~{min(workers, cpus)}x one worker, so per-worker "
-            f"efficiency tops out near {min(workers, cpus) / workers:.2f} "
-            "on this hardware"
-        ),
-    }
-
-
-def append_trajectory(record: dict, output: Path) -> None:
-    trajectory = []
-    if output.exists():
-        trajectory = json.loads(output.read_text(encoding="utf-8"))
-        if not isinstance(trajectory, list):
-            raise SystemExit(f"{output} is not a JSON trajectory list")
-    trajectory.append(record)
-    output.write_text(
-        json.dumps(trajectory, indent=2) + "\n", encoding="utf-8"
-    )
-    print(f"appended record #{len(trajectory)} to {output}")
+    return {"cpus": cpus, "speedup_fleet_vs_single": round(speedup, 3)}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -288,10 +245,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--sources", type=int, default=None)
     parser.add_argument("--receiver-sets", type=int, default=None)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--output", type=Path, default=DEFAULT_OUTPUT,
-                        help="trajectory file (JSON list, appended)")
-    parser.add_argument("--no-record", action="store_true",
-                        help="print numbers without touching the trajectory")
     parser.add_argument("--check-fleet-floor", type=float, default=None,
                         metavar="X",
                         help="exit nonzero unless fleet req/s >= "
@@ -316,9 +269,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                   f"cpus={record['cpus']}) = {floor:.2f}")
             return 1
         print(f"fleet floor ok: {speedup:.2f} >= {floor:.2f}")
-
-    if not args.no_record:
-        append_trajectory(record, args.output)
     return 0
 
 

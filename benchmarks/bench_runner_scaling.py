@@ -1,9 +1,7 @@
-"""Throughput trajectory of the Monte-Carlo engine: one worker vs parallel.
+"""Throughput of the Monte-Carlo engine: one worker vs parallel.
 
 Runs the Figure-1 workload (distinct-receiver sweep on the internet-like
-topology) at each worker count, reports samples/second, and appends one
-record to the ``BENCH_runner.json`` trajectory so engine regressions
-show up as a drop between consecutive records.
+topology) at each worker count and reports samples/second.
 
 Usage::
 
@@ -18,46 +16,28 @@ scale.
 
 Parallel layouts run on the persistent shared-memory pool
 (:mod:`repro.experiments.pool`); the pool is warmed to the largest
-worker count before any timing so records measure steady-state sweeps,
-not interpreter spawn.  Each row carries ``parallel_efficiency``
+worker count before any timing so the timings measure steady-state
+sweeps, not interpreter spawn.  Each row carries ``parallel_efficiency``
 (speedup over the 1-worker baseline, divided by workers), the
-record carries ``cpus``, and ``--check-parallel-floor X`` gates on
+result carries ``cpus``, and ``--check-parallel-floor X`` gates on
 ``speedup >= X * min(workers, cpus)`` — hardware-aware, so a 1-CPU CI
 box demands "don't regress below one core" while a 4-CPU box demands
 real scaling.
-
-Record format (one JSON object per run, newest last)::
-
-    {
-      "workload": {"topology": "internet", "num_nodes": ..., "sizes": [...],
-                   "num_sources": ..., "num_receiver_sets": ..., "mode": ...},
-      "cpus": ...,
-      "results": [{"workers": 1, "seconds": ..., "samples_per_sec": ...,
-                   "parallel_efficiency": ...}, ...]
-    }
-
-Records before the scalar engine was removed also carry a
-``("scalar", 1)`` row, an ``engine`` field per row and
-``speedup_*_vs_scalar`` fields.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
 from dataclasses import replace
-from pathlib import Path
 from typing import List, Optional
 
 from repro.experiments.config import MonteCarloConfig, SweepConfig
 from repro.experiments.pool import get_pool
 from repro.experiments.runner import measure_sweep
 from repro.topology.registry import build_topology
-
-DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_runner.json"
 
 #: The Figure-1 methodology knobs: bench_fig1's topology scale and source
 #: count, with the paper's Nrcvr=100 receiver sets per source (Section 2).
@@ -85,7 +65,7 @@ def _warm_pool(graph, workers: int, seed: int) -> None:
     """Spawn (or grow) the persistent pool before any clock starts.
 
     Worker interpreters start once per process, not once per sweep —
-    the point of the pool — so steady-state records must not charge
+    the point of the pool — so steady-state timings must not charge
     that one-time cost to whichever layout happens to run first.
     """
     start = time.perf_counter()
@@ -116,7 +96,7 @@ def run(
     seed: int = 0,
     repeats: int = 3,
 ) -> dict:
-    """Time every worker count on one workload; returns the record."""
+    """Time every worker count on one workload; returns the timings."""
     graph = build_topology("internet", scale=scale, rng=seed)
     sizes = SweepConfig(points=points).sizes(max(2, graph.num_nodes // 4))
     config = MonteCarloConfig(
@@ -124,15 +104,6 @@ def run(
     )
     cpus = os.cpu_count() or 1
     total_samples = sources * receiver_sets * len(sizes)
-    workload = {
-        "topology": "internet",
-        "num_nodes": graph.num_nodes,
-        "sizes": list(sizes),
-        "num_sources": sources,
-        "num_receiver_sets": receiver_sets,
-        "mode": "distinct",
-        "total_samples": total_samples,
-    }
     print(
         f"workload: internet ({graph.num_nodes} nodes), "
         f"{sources}x{receiver_sets} samples over {len(sizes)} sizes, "
@@ -172,7 +143,7 @@ def run(
             f"{rate:10.0f} samples/s  eff={efficiency:.2f}"
         )
 
-    return {"workload": workload, "cpus": cpus, "results": results}
+    return {"cpus": cpus, "results": results}
 
 
 def check_parallel_floor(record: dict, floor: float) -> List[str]:
@@ -207,19 +178,6 @@ def check_parallel_floor(record: dict, floor: float) -> List[str]:
     return violations
 
 
-def append_trajectory(record: dict, output: Path) -> None:
-    trajectory = []
-    if output.exists():
-        trajectory = json.loads(output.read_text(encoding="utf-8"))
-        if not isinstance(trajectory, list):
-            raise SystemExit(f"{output} is not a JSON trajectory list")
-    trajectory.append(record)
-    output.write_text(
-        json.dumps(trajectory, indent=2) + "\n", encoding="utf-8"
-    )
-    print(f"appended record #{len(trajectory)} to {output}")
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
@@ -235,10 +193,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--repeats", type=int, default=3,
                         help="timed runs per layout; the best is recorded")
-    parser.add_argument("--output", type=Path, default=DEFAULT_OUTPUT,
-                        help="trajectory file (JSON list, appended)")
-    parser.add_argument("--no-record", action="store_true",
-                        help="print timings without touching the trajectory")
     parser.add_argument("--check-parallel-floor", type=float, default=None,
                         metavar="X",
                         help="exit nonzero unless every multi-worker layout "
@@ -247,21 +201,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.workers is None:
         args.workers = sorted({2, 4, os.cpu_count() or 1})
-
-    if not args.no_record:
-        # A trajectory point is a durable claim about the tree; refuse to
-        # record one from a tree that violates the repo's lint invariants.
-        from repro.lint import lint_paths, render_text
-
-        findings = lint_paths([Path(__file__).resolve().parent.parent / "src"])
-        if findings:
-            print(render_text(findings), file=sys.stderr)
-            print(
-                "FAIL: refusing to record a trajectory point while the tree "
-                "has lint findings (use --no-record to time anyway)",
-                file=sys.stderr,
-            )
-            return 1
 
     base = SMOKE if args.smoke else FULL
     record = run(
@@ -277,8 +216,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         seed=args.seed,
         repeats=args.repeats,
     )
-    if not args.no_record:
-        append_trajectory(record, args.output)
     if args.check_parallel_floor is not None:
         violations = check_parallel_floor(record, args.check_parallel_floor)
         for violation in violations:

@@ -2,8 +2,8 @@
 
 Why this module exists
 ----------------------
-``BENCH_runner.json`` used to show 4 workers running *slower* than one
-(0.78×): every parallel sweep spawned a fresh ``ProcessPoolExecutor``
+4 workers used to run *slower* than one (a measured 0.78×): every
+parallel sweep spawned a fresh ``ProcessPoolExecutor``
 (interpreter start + imports per worker, per sweep) and pickled the
 whole CSR topology into every ``submit()``.  Both costs are fixed, so
 this module pays each exactly once:

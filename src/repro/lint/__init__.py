@@ -17,7 +17,7 @@ that no test can fully enforce.  This package checks them statically:
 
 Run it as ``python -m repro.lint [paths]`` or ``repro-mcast lint`` (one
 argument parser, :func:`repro.lint.__main__.build_parser`, serves both);
-``make lint`` gates the test suite and the benchmark trajectory on a
+``make lint`` gates the test suite and the fleet and scale smokes on a
 clean tree.  See ``docs/static-analysis.md`` for the rule catalogue.
 """
 

@@ -1221,8 +1221,8 @@ class UnregisteredTreeBuilderRule(Rule):
     rule_id = "RR016"
     severity = "error"
     summary = (
-        "direct tree construction (takahashi_matsuyama_tree / "
-        "build_delivery_tree) outside repro.multicast — go through "
+        "direct tree construction (build_delivery_tree) outside "
+        "repro.multicast — go through "
         "repro.multicast.builders.build_tree(algorithm, ...) so the "
         "algorithm axis stays sweepable"
     )
@@ -1231,14 +1231,13 @@ class UnregisteredTreeBuilderRule(Rule):
         "estimator tables, the serving tier, figures — selects its tree "
         "discipline by registry name.  A direct call to a concrete "
         "builder hard-wires one algorithm into that consumer: it cannot "
-        "be swept, its results carry no 'algorithm' provenance, and the "
-        "steiner-tm best-of-SPT guard (the documented comparison "
-        "semantics) is silently skipped.  Inside repro.multicast the "
+        "be swept and its results carry no 'algorithm' provenance.  "
+        "Inside repro.multicast the "
         "concrete constructors ARE the implementation, so the package "
         "itself is exempt."
     )
 
-    _DIRECT_BUILDERS = ("takahashi_matsuyama_tree", "build_delivery_tree")
+    _DIRECT_BUILDERS = ("build_delivery_tree",)
 
     def applies_to(self, path: str) -> bool:
         return "repro/" in path and "repro/multicast/" not in path
@@ -1251,7 +1250,6 @@ class UnregisteredTreeBuilderRule(Rule):
             self,
             node,
             f"{chain[-1]}() called directly — route through "
-            "repro.multicast.builders.build_tree() (registry key "
-            f"{'steiner-tm' if chain[-1] == 'takahashi_matsuyama_tree' else 'spt'!r}) "
+            "repro.multicast.builders.build_tree() (registry key 'spt') "
             "so the call site honors the algorithm axis",
         )

@@ -49,7 +49,7 @@ fixed ``2 * edge_base(node)`` and self-loops are impossible.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -314,48 +314,6 @@ def preferential_attachment_graph(
     fill(generator, heads, tails, seed_size, num_core, edges_per_node, seed_edges)
     fill(generator, heads, tails, num_core, num_nodes, 1, core_edges)
     return _csr_from_arcs(num_nodes, heads, tails)
-
-
-def _legacy_loop_reference(
-    num_nodes: int,
-    edges_per_node: int = 2,
-    fringe_fraction: float = 0.0,
-    rng: RandomState = None,
-) -> Graph:
-    """The pre-streaming per-node attach loop, kept verbatim as the
-    reference implementation for the equivalence suite and benchmarks.
-
-    Unbounded Python endpoint list, per-node Python sets, builder pass —
-    everything the streaming generator replaced.  ``stream="loop"``
-    must reproduce its output bit-for-bit for any seed.
-    """
-    from repro.graph.builders import GraphBuilder
-
-    num_core, seed_size, _, _ = _plan(num_nodes, edges_per_node, fringe_fraction)
-    generator = ensure_rng(rng)
-
-    builder = GraphBuilder(num_nodes, strict=False)
-    endpoint_pool: List[int] = []
-    for u in range(seed_size):
-        for v in range(u + 1, seed_size):
-            builder.add_edge(u, v)
-            endpoint_pool.extend((u, v))
-
-    def attach(node: int, num_edges: int) -> None:
-        targets: set = set()
-        while len(targets) < num_edges:
-            candidate = endpoint_pool[int(generator.integers(0, len(endpoint_pool)))]
-            if candidate != node:
-                targets.add(candidate)
-        for target in targets:
-            builder.add_edge(node, target)
-            endpoint_pool.extend((node, target))
-
-    for node in range(seed_size, num_core):
-        attach(node, edges_per_node)
-    for node in range(num_core, num_nodes):
-        attach(node, 1)
-    return builder.to_graph()
 
 
 def internet_like_graph(

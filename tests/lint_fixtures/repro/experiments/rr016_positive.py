@@ -1,16 +1,7 @@
 """RR016 positive fixture: tree construction bypassing the registry."""
 
 from repro.graph.paths import bfs
-from repro.multicast.steiner import takahashi_matsuyama_tree
 from repro.multicast.tree import build_delivery_tree
-
-
-def steiner_series(graph, source, receiver_sets):
-    totals = []
-    for receivers in receiver_sets:
-        tree = takahashi_matsuyama_tree(graph, source, receivers)  # expect: RR016
-        totals.append(tree.num_links)
-    return totals
 
 
 def one_spt_tree(graph, source, receivers):
@@ -19,6 +10,7 @@ def one_spt_tree(graph, source, receivers):
 
 
 def aliased_module_call(graph, source, receivers):
-    import repro.multicast.steiner as steiner
+    import repro.multicast.tree as tree
 
-    return steiner.takahashi_matsuyama_tree(graph, source, receivers)  # expect: RR016
+    forest = bfs(graph, source, tie_break="first")
+    return tree.build_delivery_tree(forest, receivers)  # expect: RR016

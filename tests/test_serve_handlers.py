@@ -12,6 +12,7 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
+import time
 
 import pytest
 
@@ -294,6 +295,49 @@ class TestCoalescing:
         # adds its followers.
         assert "repro_serve_coalesced_total 3" in text
         assert "repro_serve_coalesce_ratio" in text
+
+
+@pytest.mark.wallclock
+class TestTableSpeedup:
+    def test_table_answers_ten_times_faster_than_exact_simulation(self):
+        """The table layer's reason to exist: >= 10x per-request Monte Carlo.
+
+        Every table request is a cache miss (each size once per lap, the
+        response cache cleared between laps), and every exact request
+        is a fresh 2 x 3-sample simulation on a size of its own.
+        """
+
+        async def timed(service, payloads):
+            start = time.perf_counter()
+            for payload in payloads:
+                response = await service.dispatch(
+                    "POST", "/v1/simulate", json.dumps(payload).encode()
+                )
+                assert response.status == 200, response.body
+            return len(payloads) / (time.perf_counter() - start)
+
+        async def go():
+            service = await started_service(num_sources=2, num_receiver_sets=3)
+            table = service.tables[("arpa", "distinct")]
+            sizes = range(table.m_min, table.m_max + 1)
+            table_rates = []
+            for _ in range(4):
+                service._cache.clear()
+                table_rates.append(await timed(
+                    service, [{"topology": "arpa", "m": m} for m in sizes]
+                ))
+            exact_rate = await timed(service, [
+                {"topology": "arpa", "m": m, "exact": True}
+                for m in (3, 11, 23, 37)
+            ])
+            await service.shutdown()
+            return sum(table_rates) / len(table_rates), exact_rate
+
+        table_rate, exact_rate = run(go())
+        assert table_rate >= 10 * exact_rate, (
+            f"table {table_rate:.0f} req/s vs exact simulation "
+            f"{exact_rate:.0f} req/s: below the 10x floor"
+        )
 
 
 class TestDeadlineDegradation:
