@@ -8,8 +8,7 @@ fleet phase while SIGKILLing one worker mid-load:
 1. **single phase** — 1 worker, C concurrent clients.  Aggregate req/s
    and p50/p99 over the socket (so the number includes kernel accept
    and HTTP framing).
-2. **fleet phase** — N workers on one port (``SO_REUSEPORT`` or the
-   shared-listener fallback, whichever the kernel gives).  Reports
+2. **fleet phase** — N workers on one ``SO_REUSEPORT`` port.  Reports
    aggregate req/s and ``per_worker_efficiency`` =
    ``aggregate / (workers x single)`` — on a box with fewer CPUs than
    workers this is *expected* to sit near ``cpus/workers``; the gate
@@ -173,11 +172,7 @@ async def _bench(topology: str, requests: int, concurrency: int,
           f"{cpus} cpu(s)")
 
     async def single_phase(fleet: FleetSupervisor) -> Dict:
-        stats = await _drive(
-            fleet.port, await payloads_for(fleet), concurrency
-        )
-        stats["reuse_port"] = fleet.reuse_port_mode
-        return stats
+        return await _drive(fleet.port, await payloads_for(fleet), concurrency)
 
     single = await _with_fleet(fleet_config(1), single_phase)
     print(f"  single:  {single['req_per_sec']:>10.1f} req/s  "
@@ -187,7 +182,6 @@ async def _bench(topology: str, requests: int, concurrency: int,
         steady = await _drive(
             fleet.port, await payloads_for(fleet), concurrency
         )
-        steady["reuse_port"] = fleet.reuse_port_mode
         health = await fleet.healthz()
         victim = next(
             w["pid"] for w in health["workers"] if w["alive"]
@@ -211,8 +205,7 @@ async def _bench(topology: str, requests: int, concurrency: int,
     phases = await _with_fleet(fleet_config(workers), fleet_phases)
     fleet_stats, kill_stats = phases["steady"], phases["kill"]
     print(f"  fleet:   {fleet_stats['req_per_sec']:>10.1f} req/s  "
-          f"p99 {fleet_stats['p99_ms']:.3f} ms  "
-          f"(reuse_port={fleet_stats['reuse_port']})")
+          f"p99 {fleet_stats['p99_ms']:.3f} ms")
     print(f"  kill:    {kill_stats['req_per_sec']:>10.1f} req/s  "
           f"p99 {kill_stats['p99_ms']:.3f} ms  "
           f"retried {kill_stats['retried']}, "

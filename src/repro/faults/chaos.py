@@ -171,7 +171,11 @@ def check_serve_invariants(
             )
         if degraded and source == "table":
             table = service.tables.get(
-                (payload["topology"], payload.get("mode", "distinct"))
+                (
+                    payload["topology"],
+                    payload.get("mode", "distinct"),
+                    payload.get("algorithm", "spt"),
+                )
             )
             if table is None or not table.covers(payload["m"]):
                 violations.append(
@@ -214,7 +218,7 @@ async def run_serve_round(
     report = ChaosReport(seed=seed, plan=plan.to_dict(), injected=0)
 
     async def drive() -> None:
-        payloads = _round_payloads(seed, service.tables[("arpa", "distinct")].m_max)
+        payloads = _round_payloads(seed, service.tables[("arpa", "distinct", "spt")].m_max)
         with plan.activate():
             # Sequential half: each request sees the schedule alone.
             for payload in payloads[:2]:

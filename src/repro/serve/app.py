@@ -22,7 +22,6 @@ import asyncio
 import contextlib
 import json
 import signal
-import socket
 from typing import Dict, Optional, Set, Tuple
 
 from repro import faults
@@ -120,33 +119,18 @@ class ServerApp:
         host: str = "127.0.0.1",
         port: int = 8321,
         *,
-        sock: Optional[socket.socket] = None,
         reuse_port: bool = False,
     ) -> None:
         """Start listening.
 
-        ``sock`` hands over an already-bound (listening or not) socket —
-        the fleet's fallback path where one listener is shared across
-        worker processes.  ``reuse_port`` sets ``SO_REUSEPORT`` on a
-        fresh bind so sibling processes can bind the same ``(host,
-        port)`` and let the kernel spread accepted connections across
-        them (the fleet's primary path).  The two are mutually
-        exclusive; with neither, behavior is the classic single-process
-        bind.
+        ``reuse_port`` sets ``SO_REUSEPORT`` so sibling fleet workers can
+        bind the same ``(host, port)`` and let the kernel spread accepted
+        connections across them.
         """
         await self.service.startup()
-        if sock is not None:
-            self._server = await asyncio.start_server(
-                self._serve_connection, sock=sock
-            )
-        elif reuse_port:
-            self._server = await asyncio.start_server(
-                self._serve_connection, host=host, port=port, reuse_port=True
-            )
-        else:
-            self._server = await asyncio.start_server(
-                self._serve_connection, host=host, port=port
-            )
+        self._server = await asyncio.start_server(
+            self._serve_connection, host=host, port=port, reuse_port=reuse_port
+        )
 
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -293,8 +277,9 @@ async def run_selftest(
 ) -> int:
     """One request per endpoint over real sockets; 0 iff all pass.
 
-    One more probe posts a ``NaN`` group size, which must come back as
-    a typed 400.
+    Two more probes post a ``NaN`` group size and a replacement-mode
+    size past the table grid's ``4 x nodes`` top knot; each must come
+    back as a typed 400.
 
     With a ``plan`` (the CLI's ``--fault-plan``), the schedule is active
     while the probes run: the selftest then accepts *degraded* simulate
@@ -335,7 +320,7 @@ async def run_selftest(
                 {"topology": topology, "m": 5},
             )
             simulate = json.loads(body)
-            table = service.tables.get((topology, "distinct"))
+            table = service.tables.get((topology, "distinct", "spt"))
             if status != 200 or table is None:
                 failures.append(f"simulate returned {status}: {simulate}")
             elif simulate.get("degraded"):
@@ -368,6 +353,16 @@ async def run_selftest(
             if status != 400:
                 failures.append(f"NaN m returned {status}, not 400: {body!r}")
 
+            over = 4 * service._graphs[topology].num_nodes + 1
+            status, body = await http_request(
+                "127.0.0.1", port, "POST", "/v1/simulate",
+                {"topology": topology, "m": over, "mode": "replacement"},
+            )
+            if status != 400:
+                failures.append(
+                    f"replacement m={over} returned {status}, not 400: {body!r}"
+                )
+
             status, body = await http_request(
                 "127.0.0.1", port, "GET", "/healthz"
             )
@@ -388,7 +383,7 @@ async def run_selftest(
     if not failures:
         suffix = f" (fault plan {plan.name!r} active)" if plan is not None else ""
         print(
-            f"selftest OK: estimate, simulate, NaN rejection, healthz, "
-            f"metrics{suffix}"
+            f"selftest OK: estimate, simulate, NaN and over-range "
+            f"rejection, healthz, metrics{suffix}"
         )
     return 1 if failures else 0

@@ -11,8 +11,8 @@ Two small primitives the serving layer composes on its simulate path:
 
 * :class:`TTLCache` — a bounded LRU of finished responses with a
   time-to-live.  Responses are deterministic for a fixed service seed,
-  so the TTL is about bounding staleness of *table rebuilds*, not
-  correctness; the LRU bound is about memory.
+  so neither bound is about correctness: the TTL ages out entries, the
+  LRU bound caps memory.
 
 Neither primitive knows anything about HTTP or the estimators — they
 are reusable and separately tested.

@@ -1,11 +1,10 @@
 """Multi-process serving fleet: supervisor, workers, shared table store.
 
 One :class:`FleetSupervisor` spawns N single-process ``ServerApp``
-workers that all answer on one port (``SO_REUSEPORT``, with a
-shared-listener fallback), attach the estimator tables zero-copy from
-one shared-memory store, shed load explicitly instead of queueing past
-deadlines, and are restarted with seeded rate-limited backoff when they
-die.  See ``docs/fleet.md`` for the architecture and protocols.
+workers that all answer on one ``SO_REUSEPORT`` port, attach the
+estimator tables zero-copy from one shared-memory store, shed load
+explicitly instead of queueing past deadlines, and are restarted with
+seeded rate-limited backoff when they die.  See ``docs/fleet.md`` for the architecture and protocols.
 """
 
 from repro.serve.fleet.store import (

@@ -61,9 +61,9 @@ def publish_tables(
 ) -> SegmentHandle:
     """Serialize a table set into one shared segment (one copy total).
 
-    Keys are the service's table keys verbatim — ``(name, mode)`` for
-    SPT tables, ``(name, mode, algorithm)`` for non-SPT ones — so the
-    worker's attached dict mirrors the supervisor's exactly.  The
+    Keys are stored verbatim — the service's ``(name, mode,
+    algorithm)`` — so the worker's attached dict mirrors the
+    supervisor's exactly.  The
     supervisor must :meth:`~SegmentHandle.release` each generation
     exactly once when it retires; attached workers never unlink.
     """

@@ -2,15 +2,10 @@
 
 ``FleetSupervisor`` owns everything the workers share:
 
-* **The port.**  Primary mode binds every worker to one ``(host,
-  port)`` with ``SO_REUSEPORT`` — the kernel load-balances new
-  connections across the sibling binds.  The supervisor holds a bound
-  (never listening) *reservation socket* so the port survives worker
-  restarts.  Where ``SO_REUSEPORT`` is unavailable (or ``reuse_port``
-  is forced off) the fallback creates one listening socket here and
-  ships it to every worker through spawn pickling: all workers accept
-  on the shared listener and the kernel wakes one waiter per
-  connection.
+* **The port.**  Every worker binds one ``(host, port)`` with
+  ``SO_REUSEPORT`` and the kernel load-balances new connections across
+  the sibling binds.  The supervisor holds a bound (never listening)
+  *reservation socket* so the port survives worker restarts.
 * **The tables.**  Built exactly once through a throwaway
   :class:`EstimationService` — the *same* startup code path a
   single-process server runs, so worker answers are byte-identical to
@@ -22,8 +17,8 @@
   views die — that is the zero-downtime contract).
 * **The restarts.**  Worker death (crash fault, SIGKILL, anything)
   fires the process sentinel; the supervisor restarts the worker with
-  seeded backoff jitter, rate-limited to ``restart_limit`` restarts per
-  ``restart_window_seconds`` before the slot is marked failed.
+  seeded backoff jitter, rate-limited to :data:`RESTART_LIMIT` restarts
+  per :data:`RESTART_WINDOW_SECONDS` before the slot is marked failed.
 * **The fleet view.**  ``/metrics`` on the admin port folds every
   worker's serve + obs registry snapshot through
   :meth:`~repro.obs.registry.MetricsRegistry.merge`; ``/healthz``
@@ -47,7 +42,11 @@ from repro.faults.clock import SystemClock
 from repro.obs.registry import MetricsRegistry
 from repro.serve.app import ServerApp
 from repro.serve.fleet.store import publish_tables
-from repro.serve.fleet.worker import FleetWorkerSpec, fleet_worker_main
+from repro.serve.fleet.worker import (
+    DRAIN_SECONDS,
+    FleetWorkerSpec,
+    fleet_worker_main,
+)
 from repro.serve.handlers import EstimationService, Response, ServiceConfig
 from repro.utils.rng import ensure_rng
 from repro.utils.segment import SegmentHandle
@@ -56,16 +55,22 @@ __all__ = ["FleetConfig", "FleetSupervisor", "FleetAdminService"]
 
 logger = logging.getLogger("repro.serve.fleet")
 
+#: How long a new worker may take to build its service and say ready.
+READY_TIMEOUT_SECONDS = 120.0
+#: How long one control-pipe roundtrip (ping, metrics, reload) may take.
+CONTROL_TIMEOUT_SECONDS = 30.0
+#: Base restart delay; each restart waits 1-2x this (seeded jitter).
+RESTART_BACKOFF_SECONDS = 0.05
+#: A slot restarted this many times within the window is marked failed.
+RESTART_LIMIT = 5
+RESTART_WINDOW_SECONDS = 30.0
+
 _FP_SPAWN = faults.point(
     "fleet.worker.spawn",
     "Before the supervisor spawns (or respawns) a worker process; a "
     "raise here is a failed spawn — it consumes one restart-budget slot "
     "and the supervisor retries with backoff until the budget is spent.",
 )
-
-
-def _reuseport_available() -> bool:
-    return hasattr(socket, "SO_REUSEPORT")
 
 
 def _make_reservation_socket(host: str, port: int) -> socket.socket:
@@ -82,15 +87,6 @@ def _make_reservation_socket(host: str, port: int) -> socket.socket:
     return sock
 
 
-def _make_shared_listener(host: str, port: int) -> socket.socket:
-    """One listening socket for the no-REUSEPORT fallback fan-out."""
-    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    sock.bind((host, port))
-    sock.listen(128)
-    return sock
-
-
 @dataclass(frozen=True)
 class FleetConfig:
     """Fleet-level knobs (the CLI's ``--fleet-*`` flags map onto these)."""
@@ -100,31 +96,14 @@ class FleetConfig:
     port: int = 0
     admin_port: int = 0
     service: ServiceConfig = field(default_factory=ServiceConfig)
-    #: ``None`` auto-detects ``SO_REUSEPORT``; ``False`` forces the
-    #: shared-listener fallback (tests exercise both modes).
-    reuse_port: Optional[bool] = None
-    drain_seconds: float = 5.0
-    ready_timeout_seconds: float = 120.0
-    control_timeout_seconds: float = 30.0
-    restart_backoff_seconds: float = 0.05
-    restart_limit: int = 5
-    restart_window_seconds: float = 30.0
     seed: int = 0
     #: Fault-plan dict shipped to (and activated inside) every worker —
-    #: the chaos suite's way of scripting worker-side failures.
+    #: how tests script the worker-side ``fleet.*`` failures.
     worker_fault_plan: Optional[dict] = None
 
     def validate(self) -> None:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.restart_limit < 1:
-            raise ValueError(
-                f"restart_limit must be >= 1, got {self.restart_limit}"
-            )
-        if self.restart_window_seconds <= 0:
-            raise ValueError("restart_window_seconds must be positive")
-        if self.drain_seconds <= 0:
-            raise ValueError("drain_seconds must be positive")
         self.service.validate()
 
 
@@ -215,12 +194,10 @@ class FleetSupervisor:
         self._store_handle: Optional[SegmentHandle] = None
         self._generation = 0
         self._reserve_sock: Optional[socket.socket] = None
-        self._listen_sock: Optional[socket.socket] = None
         self._port: Optional[int] = None
         self._admin_app: Optional[ServerApp] = None
         self._stopping = False
         self._reload_lock = asyncio.Lock()
-        self._reuse_mode = False
         registry = MetricsRegistry()
         self._g_workers = registry.gauge(
             "repro_fleet_workers", "Configured fleet size."
@@ -252,11 +229,6 @@ class FleetSupervisor:
     def generation(self) -> int:
         return self._generation
 
-    @property
-    def reuse_port_mode(self) -> bool:
-        """True on the REUSEPORT path, False on the shared-listener one."""
-        return self._reuse_mode
-
     # -- lifecycle -------------------------------------------------------
 
     async def start(self) -> None:
@@ -266,22 +238,10 @@ class FleetSupervisor:
         self._generation = 1
         self._store_handle = publish_tables(tables, generation=1)
 
-        want_reuse = self.config.reuse_port
-        self._reuse_mode = (
-            _reuseport_available() if want_reuse is None else bool(want_reuse)
+        self._reserve_sock = await loop.run_in_executor(
+            None, _make_reservation_socket, self.config.host, self.config.port
         )
-        if self._reuse_mode and not _reuseport_available():
-            raise RuntimeError("SO_REUSEPORT requested but unavailable")
-        if self._reuse_mode:
-            self._reserve_sock = await loop.run_in_executor(
-                None, _make_reservation_socket, self.config.host, self.config.port
-            )
-            self._port = self._reserve_sock.getsockname()[1]
-        else:
-            self._listen_sock = await loop.run_in_executor(
-                None, _make_shared_listener, self.config.host, self.config.port
-            )
-            self._port = self._listen_sock.getsockname()[1]
+        self._port = self._reserve_sock.getsockname()[1]
 
         for worker_id in range(self.config.workers):
             handle = _WorkerHandle(worker_id)
@@ -312,7 +272,7 @@ class FleetSupervisor:
             if handle.conn is not None and handle.alive():
                 with contextlib.suppress(OSError, BrokenPipeError):
                     handle.conn.send(("stop", None))
-        budget = self.config.drain_seconds + 5.0
+        budget = DRAIN_SECONDS + 5.0
         for handle in self._workers.values():
             if handle.process is None:
                 continue
@@ -335,9 +295,6 @@ class FleetSupervisor:
         if self._reserve_sock is not None:
             self._reserve_sock.close()
             self._reserve_sock = None
-        if self._listen_sock is not None:
-            self._listen_sock.close()
-            self._listen_sock = None
 
     async def serve_forever(self) -> None:
         """Run until SIGINT/SIGTERM, then stop the whole fleet."""
@@ -351,10 +308,9 @@ class FleetSupervisor:
                 registered.append(signum)
             except (NotImplementedError, RuntimeError):
                 pass  # platform without loop signal support
-        mode = "SO_REUSEPORT" if self._reuse_mode else "shared listener"
         print(
             f"repro.serve fleet: {self.config.workers} workers on "
-            f"http://{self.config.host}:{self.port} ({mode}), admin on "
+            f"http://{self.config.host}:{self.port}, admin on "
             f"http://{self.config.host}:{self.admin_port}"
         )
         try:
@@ -413,7 +369,8 @@ class FleetSupervisor:
                     results[str(handle.worker_id)] = "reloaded"
                 else:
                     results[str(handle.worker_id)] = (
-                        f"failed: {payload.get('error', kind)}"
+                        f"failed: {payload.get('error', kind)} (was serving "
+                        f"generation {payload.get('generation')})"
                     )
                     self._recycle(handle)
             if old_handle is not None:
@@ -434,7 +391,6 @@ class FleetSupervisor:
             port=self._port or 0,
             store=self._store_handle.descriptor,
             fault_plan=self.config.worker_fault_plan,
-            drain_seconds=self.config.drain_seconds,
         )
 
     def _spawn(self, handle: _WorkerHandle) -> None:
@@ -444,7 +400,7 @@ class FleetSupervisor:
         parent_conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
             target=fleet_worker_main,
-            args=(self._spec(handle.worker_id), self._listen_sock, child_conn),
+            args=(self._spec(handle.worker_id), child_conn),
             daemon=True,
             name=f"repro-fleet-worker-{handle.worker_id}",
         )
@@ -454,9 +410,7 @@ class FleetSupervisor:
         handle.conn = parent_conn
 
     async def _await_ready(self, handle: _WorkerHandle) -> None:
-        kind, payload = await self._recv(
-            handle, timeout=self.config.ready_timeout_seconds
-        )
+        kind, payload = await self._recv(handle, timeout=READY_TIMEOUT_SECONDS)
         if kind != "ready":
             raise RuntimeError(
                 f"fleet worker {handle.worker_id} sent {kind!r} before ready"
@@ -541,16 +495,16 @@ class FleetSupervisor:
         )
         while not self._stopping and not handle.failed:
             now = self._clock()
-            window = self.config.restart_window_seconds
             handle.restart_times = [
-                t for t in handle.restart_times if now - t <= window
+                t for t in handle.restart_times
+                if now - t <= RESTART_WINDOW_SECONDS
             ]
-            if len(handle.restart_times) >= self.config.restart_limit:
+            if len(handle.restart_times) >= RESTART_LIMIT:
                 handle.failed = True
                 logger.error(
                     "fleet worker %d exceeded %d restarts in %.1fs; "
                     "marking the slot failed",
-                    handle.worker_id, self.config.restart_limit, window,
+                    handle.worker_id, RESTART_LIMIT, RESTART_WINDOW_SECONDS,
                 )
                 return
             handle.restart_times.append(now)
@@ -558,9 +512,7 @@ class FleetSupervisor:
             self._c_restarts.inc()
             # Seeded jitter keeps chaos runs replayable and staggers a
             # mass restart instead of thundering onto the CPU at once.
-            backoff = self.config.restart_backoff_seconds * (
-                1.0 + float(self._rng.random())
-            )
+            backoff = RESTART_BACKOFF_SECONDS * (1.0 + float(self._rng.random()))
             await self._clock.sleep(backoff)
             if self._stopping:
                 return
@@ -620,15 +572,12 @@ class FleetSupervisor:
         self,
         handle: _WorkerHandle,
         message: Tuple[str, Any],
-        timeout: Optional[float] = None,
     ) -> Tuple[str, Any]:
-        if timeout is None:
-            timeout = self.config.control_timeout_seconds
         async with handle.lock:
             if handle.conn is None:
                 raise EOFError(f"worker {handle.worker_id} has no control pipe")
             handle.conn.send(message)
-            return await self._recv(handle, timeout)
+            return await self._recv(handle, CONTROL_TIMEOUT_SECONDS)
 
     # -- fleet-wide views ------------------------------------------------
 
@@ -667,7 +616,6 @@ class FleetSupervisor:
                 "configured_workers": self.config.workers,
                 "alive_workers": alive,
                 "port": self._port,
-                "reuse_port": self._reuse_mode,
                 "table_generation": self._generation,
                 "total_restarts": sum(
                     h.restarts for h in self._workers.values()

@@ -2,20 +2,15 @@
 
 :func:`fleet_worker_main` is the spawn entry point the supervisor hands
 to ``multiprocessing.Process``.  Everything a worker needs crosses the
-boundary in three picklable arguments:
+boundary in two picklable arguments:
 
 * a :class:`FleetWorkerSpec` — worker id, :class:`ServiceConfig`, bind
-  parameters, the shared table-store descriptor, and (for chaos runs)
+  parameters, the shared table-store descriptor, and (for fault tests)
   a fault-plan dict activated in-process;
-* optionally a *listening socket* — the REUSEPORT-less fallback, where
-  every worker accepts on one supervisor-created listener (the kernel
-  wakes one accept waiter per connection; asyncio absorbs the
-  occasional lost race as ``BlockingIOError``);
 * one end of a ``multiprocessing.Pipe`` — the control channel.
 
-With no inherited socket the worker binds ``(host, port)`` itself with
-``SO_REUSEPORT`` (the primary path: the kernel load-balances new
-connections across sibling binds).
+The worker binds ``(host, port)`` itself with ``SO_REUSEPORT``; the
+kernel load-balances new connections across the sibling binds.
 
 Control protocol — ``(kind, payload)`` tuples, one reply per request:
 ``ping`` → ``pong`` (healthz snapshot), ``metrics`` → serve + obs
@@ -40,13 +35,21 @@ from repro.serve.app import ServerApp
 from repro.serve.fleet.store import TableStoreDescriptor, attach_tables
 from repro.serve.handlers import EstimationService, ServiceConfig
 
-__all__ = ["FleetWorkerSpec", "fleet_worker_main", "CRASH_EXIT_CODE"]
+__all__ = [
+    "CRASH_EXIT_CODE",
+    "DRAIN_SECONDS",
+    "FleetWorkerSpec",
+    "fleet_worker_main",
+]
 
 logger = logging.getLogger("repro.serve.fleet.worker")
 
 #: Exit code of a worker killed by a scripted ``crash`` fault — distinct
 #: from signal deaths so the chaos suite can tell the two apart.
 CRASH_EXIT_CODE = 73
+
+#: How long a stopping worker lets in-flight requests finish.
+DRAIN_SECONDS = 5.0
 
 _FP_ACCEPT = faults.point(
     "fleet.socket.accept",
@@ -80,7 +83,6 @@ class FleetWorkerSpec:
     port: int = 0
     store: Optional[TableStoreDescriptor] = None
     fault_plan: Optional[dict] = None
-    drain_seconds: float = 5.0
 
 
 class _FleetWorkerApp(ServerApp):
@@ -97,7 +99,7 @@ class _FleetWorkerApp(ServerApp):
             # Scripted abrupt death: no drain, no cleanup — exactly what
             # the supervisor must survive.
             os._exit(CRASH_EXIT_CODE)
-        except faults.FaultInjected:
+        except (faults.FaultInjected, ConnectionResetError):
             writer.close()
             return
         await super()._serve_connection(reader, writer)
@@ -114,7 +116,7 @@ def _pump_control(conn, queue: "asyncio.Queue", loop) -> None:
     queue.put_nowait(message)
 
 
-async def _worker_async(spec: FleetWorkerSpec, listen_sock, conn) -> None:
+async def _worker_async(spec: FleetWorkerSpec, conn) -> None:
     service = EstimationService(spec.config)
     if spec.store is not None:
         try:
@@ -134,10 +136,7 @@ async def _worker_async(spec: FleetWorkerSpec, listen_sock, conn) -> None:
                 spec.store.generation,
             )
     app = _FleetWorkerApp(service, worker_id=spec.worker_id)
-    if listen_sock is not None:
-        await app.start(sock=listen_sock)
-    else:
-        await app.start(host=spec.host, port=spec.port, reuse_port=True)
+    await app.start(host=spec.host, port=spec.port, reuse_port=True)
 
     loop = asyncio.get_running_loop()
     queue: "asyncio.Queue[Tuple[str, Any]]" = asyncio.Queue()
@@ -212,20 +211,16 @@ async def _worker_async(spec: FleetWorkerSpec, listen_sock, conn) -> None:
                 conn.send(("error", {"unknown": kind}))
     finally:
         loop.remove_reader(conn.fileno())
-        await app.stop(drain_seconds=spec.drain_seconds)
+        await app.stop(drain_seconds=DRAIN_SECONDS)
         with contextlib.suppress(OSError, BrokenPipeError):
             conn.send(("stopped", {"worker_id": spec.worker_id}))
         conn.close()
 
 
-def fleet_worker_main(spec: FleetWorkerSpec, listen_sock=None, conn=None) -> None:
+def fleet_worker_main(spec: FleetWorkerSpec, conn) -> None:
     """Spawn entry point: run one worker until stopped or orphaned."""
     activation = contextlib.nullcontext()
     if spec.fault_plan is not None:
         activation = faults.FaultPlan.from_dict(spec.fault_plan).activate()
-    try:
-        with activation:
-            asyncio.run(_worker_async(spec, listen_sock, conn))
-    finally:
-        if listen_sock is not None:
-            listen_sock.close()
+    with activation:
+        asyncio.run(_worker_async(spec, conn))

@@ -61,8 +61,8 @@ _FP_SIMULATE = faults.point(
 )
 _FP_TABLE_BUILD = faults.point(
     "serve.table.build",
-    "Before a lazy or refresh estimator-table build; failures must leave "
-    "previously installed tables untouched and degrade the caller.",
+    "Before a lazy estimator-table build; failures must leave previously "
+    "installed tables untouched and degrade the caller.",
 )
 _FP_GRAPH_BUILD = faults.point(
     "serve.graph.build",
@@ -72,6 +72,10 @@ _FP_GRAPH_BUILD = faults.point(
 
 _JSON = "application/json"
 _TEXT = "text/plain; version=0.0.4; charset=utf-8"
+
+#: Response-cache bound and entry lifetime.
+_CACHE_MAX_ENTRIES = 4096
+_CACHE_TTL_SECONDS = 300.0
 
 
 class ServeError(ReproError):
@@ -116,19 +120,13 @@ class ServiceConfig:
     topologies: Tuple[str, ...] = ("arpa", "r100")
     #: Tree-construction disciplines whose estimator tables are
     #: pre-warmed at startup.  Any other registered builder is still
-    #: servable with a lazily built table; ``"spt"`` tables keep their
-    #: historical ``(name, mode)`` keys so the single-algorithm layout
-    #: is unchanged.
+    #: servable with a lazily built table.
     algorithms: Tuple[str, ...] = ("spt",)
     scale: float = 1.0
     seed: int = 0
     num_sources: int = 20
     num_receiver_sets: int = 20
     deadline_seconds: float = 5.0
-    points_per_decade: int = 16
-    cache_max_entries: int = 4096
-    cache_ttl_seconds: float = 300.0
-    table_ttl_seconds: Optional[float] = None
     executor_threads: int = 2
     #: Load-shedding threshold: with more than this many requests being
     #: dispatched concurrently, further simulate requests are answered
@@ -147,12 +145,6 @@ class ServiceConfig:
         if self.max_inflight is not None and self.max_inflight < 1:
             raise ServeError(
                 500, f"max_inflight must be >= 1 when set, got {self.max_inflight}"
-            )
-        if self.table_ttl_seconds is not None and self.table_ttl_seconds <= 0:
-            raise ServeError(
-                500,
-                f"table_ttl_seconds must be positive when set, got "
-                f"{self.table_ttl_seconds}",
             )
         if self.executor_threads < 1:
             raise ServeError(500, "executor_threads must be >= 1")
@@ -201,23 +193,6 @@ def _flag(payload: Dict, key: str, default: bool = False) -> bool:
     return value
 
 
-def _table_key(name: str, mode: str, algorithm: str = "spt") -> Tuple[str, ...]:
-    """Key for one estimator table in :attr:`EstimationService.tables`.
-
-    SPT tables keep their historical ``(name, mode)`` 2-tuple so every
-    pre-existing consumer (tests, the fleet store, healthz labels) sees
-    an unchanged layout; non-SPT tables append the algorithm name.
-    """
-    if algorithm == "spt":
-        return (name, mode)
-    return (name, mode, algorithm)
-
-
-def _key_label(key: Tuple[str, ...]) -> str:
-    """``"name/mode"`` or ``"name/mode/algorithm"`` for healthz maps."""
-    return "/".join(key)
-
-
 @dataclass(frozen=True)
 class _SimulateRequest:
     topology: str
@@ -241,16 +216,16 @@ class EstimationService:
         self.config.validate()
         self.metrics = metrics or ServeMetrics()
         # Every timing decision below — TTL expiry, deadline waits,
-        # table staleness, latency histograms — reads this one clock, so
-        # tests swap in a VirtualClock and control time explicitly.
+        # latency histograms — reads this one clock, so tests swap in a
+        # VirtualClock and control time explicitly.
         self._clock = clock if clock is not None else SystemClock()
-        self.tables: Dict[Tuple[str, ...], EstimatorTable] = {}
-        self._table_built_at: Dict[Tuple[str, ...], float] = {}
+        #: Estimator tables keyed by ``(topology, mode, algorithm)``.
+        self.tables: Dict[Tuple[str, str, str], EstimatorTable] = {}
         self._graphs: Dict[str, Any] = {}
         self._flight = SingleFlight(wait_for=self._clock.wait_for)
         self._cache = TTLCache(
-            max_entries=self.config.cache_max_entries,
-            ttl_seconds=self.config.cache_ttl_seconds,
+            max_entries=_CACHE_MAX_ENTRIES,
+            ttl_seconds=_CACHE_TTL_SECONDS,
             clock=self._clock,
         )
         self._executor: Optional[ThreadPoolExecutor] = None
@@ -294,7 +269,7 @@ class EstimationService:
 
     def install_tables(
         self,
-        tables: Dict[Tuple[str, ...], EstimatorTable],
+        tables: Dict[Tuple[str, str, str], EstimatorTable],
         generation: Optional[int] = None,
     ) -> None:
         """Replace the whole table set atomically (the fleet's path).
@@ -307,9 +282,7 @@ class EstimationService:
         handler's perspective, and the response cache is cleared so
         answers interpolated from the old generation cannot outlive it.
         """
-        now = self._clock()
         self.tables = dict(tables)
-        self._table_built_at = {key: now for key in self.tables}
         if generation is not None:
             self.table_generation = int(generation)
         self._cache.clear()
@@ -337,7 +310,6 @@ class EstimationService:
                 seed=self.config.seed,
             ),
             rng=self.config.seed,
-            points_per_decade=self.config.points_per_decade,
             algorithm=algorithm,
         )
 
@@ -389,42 +361,6 @@ class EstimationService:
             await self._flight.run(("graph", name), build, timeout=deadline)
         return self._graphs[name]
 
-    async def _build_table(
-        self, name: str, mode: str, algorithm: str = "spt"
-    ) -> None:
-        """One coalesced leader's table (re)build, install on success."""
-        _FP_TABLE_BUILD.fire(topology=name, mode=mode, algorithm=algorithm)
-        await self._graph(name, deadline=None)
-        key = _table_key(name, mode, algorithm)
-        self.tables[key] = await self._in_executor(
-            self._build_table_sync, name, mode, algorithm
-        )
-        self._table_built_at[key] = self._clock()
-
-    def _refresh_table(self, name: str, mode: str, algorithm: str = "spt") -> None:
-        """Kick a coalesced background rebuild of a stale table.
-
-        The stale table keeps serving; a rebuild failure is logged and
-        counted, never surfaced to the request that noticed staleness.
-        """
-
-        async def rebuild() -> None:
-            try:
-                await self._build_table(name, mode, algorithm)
-            except asyncio.CancelledError:
-                raise
-            except Exception as exc:
-                logger.warning(
-                    "background table refresh failed for %s "
-                    "(stale table keeps serving): %s",
-                    _key_label(_table_key(name, mode, algorithm)), exc,
-                )
-                self.metrics.count_backend_failure()
-
-        self._flight.join(
-            ("table-refresh",) + _table_key(name, mode, algorithm), rebuild
-        )
-
     async def _table(
         self,
         name: str,
@@ -436,26 +372,22 @@ class EstimationService:
 
         Raises :class:`asyncio.TimeoutError` when a lazy build misses
         the deadline — the caller degrades; the build itself continues
-        and installs the table for later requests.  With
-        ``table_ttl_seconds`` configured, a table past its TTL is still
-        served while a coalesced background rebuild replaces it.
+        and installs the table for later requests.
         """
-        key = _table_key(name, mode, algorithm)
+        key = (name, mode, algorithm)
         table = self.tables.get(key)
         if table is not None:
-            ttl = self.config.table_ttl_seconds
-            if ttl is not None and self._table_age(key) >= ttl:
-                self._refresh_table(name, mode, algorithm)
             return table
 
         async def build() -> None:
-            await self._build_table(name, mode, algorithm)
+            _FP_TABLE_BUILD.fire(topology=name, mode=mode, algorithm=algorithm)
+            await self._graph(name, deadline=None)
+            self.tables[key] = await self._in_executor(
+                self._build_table_sync, name, mode, algorithm
+            )
 
         await self._flight.run(("table",) + key, build, timeout=deadline)
         return self.tables[key]
-
-    def _table_age(self, key: Tuple[str, ...]) -> float:
-        return self._clock() - self._table_built_at.get(key, 0.0)
 
     # -- /v1/estimate ----------------------------------------------------
 
@@ -701,7 +633,7 @@ class EstimationService:
         """
         from repro.analysis.scaling import chuang_sirbu_prediction
 
-        table = self.tables.get(_table_key(req.topology, req.mode, req.algorithm))
+        table = self.tables.get((req.topology, req.mode, req.algorithm))
         if table is not None and table.covers(req.m):
             tree, path = table.lookup(req.m)
             extra: Dict[str, Any] = {"rel_error_bound": table.rel_error_bound}
@@ -723,6 +655,30 @@ class EstimationService:
             answer["source"] = "cache"
             self.metrics.count_answer("cache")
             return answer
+
+        if req.mode == "replacement":
+            # The sampler draws a (sets × m) matrix per source, so refuse
+            # sizes past the 4·N top knot of a replacement table's grid
+            # before any table build or simulation can start.
+            try:
+                graph = await self._graph(req.topology, req.deadline)
+            except asyncio.TimeoutError:
+                return self._degraded_answer(req)
+            except asyncio.CancelledError:
+                raise
+            except Exception as exc:
+                logger.warning(
+                    "graph build failed for %s; degrading: %s", req.topology, exc
+                )
+                self.metrics.count_backend_failure()
+                return self._degraded_answer(req)
+            if req.m > 4 * graph.num_nodes:
+                raise ServeError(
+                    400,
+                    f"replacement m must be at most 4 x {graph.num_nodes} "
+                    f"nodes = {4 * graph.num_nodes} on {req.topology}, "
+                    f"got {req.m}",
+                )
 
         # Load shedding: past the configured inflight capacity, answer
         # degraded *now* rather than queueing behind the backlog past
@@ -749,11 +705,8 @@ class EstimationService:
                 raise  # caller mistakes keep their 4xx mapping
             except Exception as exc:
                 logger.warning(
-                    "table build failed for %s; degrading: %s",
-                    _key_label(
-                        _table_key(req.topology, req.mode, req.algorithm)
-                    ),
-                    exc,
+                    "table build failed for %s/%s/%s; degrading: %s",
+                    req.topology, req.mode, req.algorithm, exc,
                 )
                 self.metrics.count_backend_failure()
                 return self._degraded_answer(req)
@@ -823,11 +776,6 @@ class EstimationService:
                 table.to_dict()
                 for _key, table in sorted(self.tables.items())
             ],
-            "table_ages_seconds": {
-                _key_label(key): self._table_age(key)
-                for key in sorted(self.tables)
-            },
-            "table_ttl_seconds": self.config.table_ttl_seconds,
             "table_generation": self.table_generation,
             "inflight": len(self._flight),
             "inflight_requests": self._inflight_requests,

@@ -21,7 +21,7 @@ def spawn_from_a_spec(config, conn):
     # The fleet pattern: a frozen picklable spec crosses, the worker
     # rebuilds its own EstimationService from it.
     spec = FleetWorkerSpec(worker_id=0, config=config)
-    worker = Process(target=fleet_worker_main, args=(spec, None, conn))
+    worker = Process(target=fleet_worker_main, args=(spec, conn))
     worker.start()
     return worker
 

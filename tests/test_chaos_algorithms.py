@@ -48,14 +48,6 @@ def algorithm_config() -> ServiceConfig:
     )
 
 
-def table_key(name, mode, algorithm):
-    # Mirrors the service's key scheme: the historical 2-tuple for SPT,
-    # a 3-tuple for everything else.
-    if algorithm == "spt":
-        return (name, mode)
-    return (name, mode, algorithm)
-
-
 def round_plan(seed: int, clock: VirtualClock) -> FaultPlan:
     """A seeded schedule aimed squarely at the table-build seam."""
     rng = ensure_rng(seed + 77)
@@ -121,7 +113,7 @@ def check_response(service, algorithm, payload, status, body):
                 f"{body.get('table_algorithm')!r} table: {label}"
             )
     if body.get("source") == "table":
-        table = service.tables.get(table_key("arpa", "distinct", algorithm))
+        table = service.tables.get(("arpa", "distinct", algorithm))
         if table is None or not table.covers(payload["m"]):
             violations.append(
                 f"table answer without a covering {algorithm!r} table: {label}"
@@ -230,7 +222,7 @@ class TestAlgorithmProvenanceUnderChaos:
         assert body["degraded"] is True
         # Both foreign tables cover m=3 yet the answer must be the
         # closed-form fallback with no absolute scale.
-        assert tables[("arpa", "distinct")].covers(3)
+        assert tables[("arpa", "distinct", "spt")].covers(3)
         assert tables[("arpa", "distinct", "steiner-tm")].covers(3)
         assert body["source"] == "closed-form"
         assert body["algorithm"] == "dst-approx"

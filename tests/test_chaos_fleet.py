@@ -83,7 +83,6 @@ class TestFleetChaos:
                     workers=2,
                     service=small_config(),
                     seed=SEED,
-                    restart_backoff_seconds=0.05,
                 )
             )
             await fleet.start()

@@ -181,7 +181,7 @@ class TestErrorBoundUnderDegradation:
         async def go():
             service = EstimationService(small_config(), clock=VirtualClock())
             await service.startup()
-            service.tables[("arpa", "distinct")] = table
+            service.tables[("arpa", "distinct", "spt")] = table
             plan = FaultPlan(
                 [FaultSpec("serve.backend.simulate", "raise")], seed=0
             )
@@ -389,7 +389,7 @@ class TestInvariantCheckerDetectsViolations:
         violations = check_serve_invariants(
             responses,
             self.fake_service(
-                tables={("arpa", "distinct"): table}, degraded_total=1
+                tables={("arpa", "distinct", "spt"): table}, degraded_total=1
             ),
         )
         assert any("error-bound under degradation" in v for v in violations)

@@ -344,9 +344,9 @@ class TestServeIntegration:
         table = EstimatorTable.from_sweep(
             graph, "as", config=config, rng=8, distance_store=store
         )
-        handle = publish_tables({("as", "distinct"): table}, generation=1)
+        handle = publish_tables({("as", "distinct", "spt"): table}, generation=1)
         try:
-            attached = attach_tables(handle.descriptor)[("as", "distinct")]
+            attached = attach_tables(handle.descriptor)[("as", "distinct", "spt")]
             assert np.array_equal(attached.tree_size, table.tree_size)
             assert np.array_equal(attached.mean_path, table.mean_path)
         finally:

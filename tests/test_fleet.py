@@ -9,9 +9,13 @@ The fleet's observable contract, each clause pinned here:
   liveness, restart counts, table generation, and folded registries;
 * table reload swaps generations on every live worker with zero failed
   requests;
-* in fallback (shared-listener) mode a SIGKILLed worker loses no
-  accepted request — the kernel hands pending connections to surviving
-  accept waiters while the supervisor restarts the corpse;
+* a SIGKILLed worker loses no request — once its ``SO_REUSEPORT``
+  listener is gone the kernel routes new connections to the survivors
+  while the supervisor restarts the corpse;
+* the worker-side fault seams fire through ``worker_fault_plan``: a
+  failed table swap is reported and leaves the old generation serving
+  until the worker is recycled, and a connection reset at accept is
+  retried onto a worker that answers;
 * past ``max_inflight`` the service sheds explicitly — degraded 200
   answers flagged ``"shed": true``, never queued, never cached, never
   a 500.
@@ -47,14 +51,32 @@ def small_config(**overrides) -> ServiceConfig:
 
 
 def fleet_config(**overrides) -> FleetConfig:
-    defaults = dict(
-        workers=2,
-        service=small_config(),
-        seed=0,
-        restart_backoff_seconds=0.05,
-    )
+    defaults = dict(workers=2, service=small_config(), seed=0)
     defaults.update(overrides)
     return FleetConfig(**defaults)
+
+
+async def resilient_request(port, payload, attempts=8):
+    """``(status, body, retries)``, retrying connection-level failures."""
+    for attempt in range(attempts):
+        try:
+            status, body = await http_request(
+                "127.0.0.1", port, "POST", "/v1/simulate", payload
+            )
+            return status, json.loads(body), attempt
+        except OSError:  # reset, refused: the worker is gone or restarting
+            await asyncio.sleep(min(0.05 * 2 ** attempt, 2.0))
+    raise AssertionError(f"request never completed: {payload}")
+
+
+async def wait_for_alive(fleet, want=2, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        health = await fleet.healthz()
+        if health["fleet"]["alive_workers"] == want:
+            return health
+        await asyncio.sleep(0.1)
+    raise AssertionError(f"fleet never returned to {want} live workers")
 
 
 async def post_simulate(service, payload):
@@ -156,15 +178,21 @@ class TestFleetEndToEnd:
         assert answer["source"] == "table"
         assert answer["degraded"] is False
 
-    def test_fallback_mode_survives_sigkill_without_losing_requests(self):
+    def test_sigkilled_worker_loses_no_request(self):
         async def go():
-            fleet = FleetSupervisor(fleet_config(reuse_port=False))
+            fleet = FleetSupervisor(fleet_config())
             await fleet.start()
             try:
-                mode = fleet.reuse_port_mode
                 health = await fleet.healthz()
                 victim = health["workers"][0]["pid"]
                 os.kill(victim, signal.SIGKILL)
+                # A REUSEPORT listener closes with its process; a connect
+                # racing that close could land in the dying accept queue.
+                # Send once the victim has exited.
+                deadline = time.monotonic() + 10.0
+                while fleet._workers[0].process.is_alive():
+                    assert time.monotonic() < deadline, "victim never died"
+                    await asyncio.sleep(0.01)
                 statuses = []
                 for i in range(20):
                     status, _body = await http_request(
@@ -172,25 +200,101 @@ class TestFleetEndToEnd:
                         {"topology": "arpa", "m": 2 + (i % 6)},
                     )
                     statuses.append(status)
-                deadline = time.monotonic() + 30.0
-                while time.monotonic() < deadline:
-                    health = await fleet.healthz()
-                    if health["fleet"]["alive_workers"] == 2:
-                        break
-                    await asyncio.sleep(0.1)
-                return mode, statuses, health
+                health = await wait_for_alive(fleet)
+                return statuses, health
             finally:
                 await fleet.stop()
 
-        mode, statuses, health = run(go())
-        assert mode is False  # the fallback path really was exercised
-        # Accepted requests never fail: the shared listener's backlog is
-        # drained by surviving accept waiters while the victim restarts.
+        statuses, health = run(go())
+        # No request fails while the victim restarts: the surviving
+        # worker's listener takes every new connection.
         assert statuses == [200] * 20
         assert health["fleet"]["alive_workers"] == 2
         assert health["fleet"]["total_restarts"] >= 1
         restarted = [w for w in health["workers"] if w["restarts"] > 0]
         assert restarted and all(w["alive"] for w in health["workers"])
+
+
+class TestWorkerFaultSeams:
+    """``fleet.table.swap`` and ``fleet.socket.accept`` fire only inside
+    workers; ``FleetConfig.worker_fault_plan`` is their way in."""
+
+    def test_failed_swap_is_reported_and_old_generation_keeps_serving(self):
+        plan = {
+            "name": "swap-fails",
+            "faults": [
+                {"point": "fleet.table.swap", "action": "raise", "max_fires": 1}
+            ],
+        }
+
+        async def go():
+            fleet = FleetSupervisor(fleet_config(worker_fault_plan=plan))
+            await fleet.start()
+            try:
+                before = await resilient_request(
+                    fleet.port, {"topology": "arpa", "m": 5}
+                )
+                result = await fleet.reload_tables()
+                after = await resilient_request(
+                    fleet.port, {"topology": "arpa", "m": 5}
+                )
+                health = await wait_for_alive(fleet)
+            finally:
+                await fleet.stop()
+            return before, result, after, health
+
+        before, result, after, health = run(go())
+        assert result["generation"] == 2
+        statuses = list(result["workers"].values())
+        assert len(statuses) == 2
+        for status in statuses:
+            # Each worker refused the swap and said it still serves
+            # generation 1; the supervisor then recycles it.
+            assert status.startswith("failed: injected fault at fleet.table.swap")
+            assert status.endswith("(was serving generation 1)")
+        assert before[0] == after[0] == 200
+        assert before[1]["tree_size"] == after[1]["tree_size"]
+        assert after[1]["degraded"] is False
+        # The recycled workers come back attached to generation 2.
+        assert health["fleet"]["table_generation"] == 2
+        assert [w["generation"] for w in health["workers"]] == [2, 2]
+        assert health["fleet"]["total_restarts"] >= 2
+
+    def test_reset_at_accept_is_retried_onto_a_serving_worker(self):
+        # Every worker resets the first connection it accepts.
+        plan = {
+            "name": "accept-resets",
+            "faults": [
+                {"point": "fleet.socket.accept", "action": "reset", "max_fires": 1}
+            ],
+        }
+
+        async def go():
+            fleet = FleetSupervisor(fleet_config(worker_fault_plan=plan))
+            await fleet.start()
+            try:
+                answers = [
+                    await resilient_request(
+                        fleet.port, {"topology": "arpa", "m": 2 + i}
+                    )
+                    for i in range(10)
+                ]
+                health = await fleet.healthz()
+            finally:
+                await fleet.stop()
+            return answers, health
+
+        answers, health = run(go())
+        assert [status for status, _body, _retries in answers] == [200] * 10
+        assert all(not body["degraded"] for _status, body, _retries in answers)
+        retries = sum(retries for _status, _body, retries in answers)
+        # The very first connection is always reset; at most one more
+        # reset (the other worker's first accept) can follow.
+        assert answers[0][2] >= 1
+        assert 1 <= retries <= 2
+        # A reset drops only the connection, never the worker.
+        assert health["fleet"]["alive_workers"] == 2
+        assert health["fleet"]["total_restarts"] == 0
 
 
 class TestLoadShedding:
@@ -203,7 +307,7 @@ class TestLoadShedding:
                 shed_status, shed_answer = await post_simulate(
                     service, {"topology": "arpa", "m": 3}
                 )
-                cached = service._cache.get(("arpa", "distinct", 3, False))
+                cached = service._cache.get(("arpa", "distinct", 3, False, "spt"))
                 shed_total = service.metrics.shed_total
                 service._inflight_requests = 0
                 ok_status, ok_answer = await post_simulate(

@@ -50,11 +50,11 @@ def make_table(name: str, mode: str = "distinct", *, scale: float = 1.0):
 
 def make_tables(scale: float = 1.0):
     return {
-        ("arpa", "distinct"): make_table("arpa", scale=scale),
-        ("arpa", "replacement"): make_table(
+        ("arpa", "distinct", "spt"): make_table("arpa", scale=scale),
+        ("arpa", "replacement", "spt"): make_table(
             "arpa", "replacement", scale=scale
         ),
-        ("mbone", "distinct"): make_table("mbone", scale=scale),
+        ("mbone", "distinct", "spt"): make_table("mbone", scale=scale),
     }
 
 
@@ -94,7 +94,7 @@ class TestPublishAttachRoundtrip:
         handle = publish_tables(make_tables(), generation=1)
         try:
             attached = attach_tables(handle.descriptor)
-            table = attached[("arpa", "distinct")]
+            table = attached[("arpa", "distinct", "spt")]
             assert not table.tree_size.flags.writeable
             assert not table.sizes.flags.writeable
             with pytest.raises(ValueError):
@@ -172,9 +172,9 @@ class TestUnlinkSemantics:
         tables = make_tables()
         handle = publish_tables(tables, generation=1)
         attached = attach_tables(handle.descriptor)
-        expected = tables[("arpa", "distinct")].lookup(42)
+        expected = tables[("arpa", "distinct", "spt")].lookup(42)
         handle.release()
-        assert attached[("arpa", "distinct")].lookup(42) == expected
+        assert attached[("arpa", "distinct", "spt")].lookup(42) == expected
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=handle.descriptor.name)
 
@@ -189,7 +189,7 @@ class TestUnlinkSemantics:
         try:
             old_view = attach_tables(old.descriptor)
             new_view = attach_tables(new.descriptor)
-            key = ("arpa", "distinct")
+            key = ("arpa", "distinct", "spt")
             old_tree, _ = old_view[key].lookup(10)
             new_tree, _ = new_view[key].lookup(10)
             assert new_tree == pytest.approx(2.0 * old_tree)

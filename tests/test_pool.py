@@ -117,7 +117,7 @@ class TestSharedGraph:
             mean_path=np.array([5.0, 5.0]),
             source="closed-form",
         )
-        handle = publish_tables({("arpa", "distinct"): table}, generation=1)
+        handle = publish_tables({("arpa", "distinct", "spt"): table}, generation=1)
         try:
             impostor = SharedGraphDescriptor(
                 name=handle.descriptor.name,

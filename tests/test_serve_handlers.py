@@ -171,7 +171,7 @@ class TestSimulateLadder:
             service = await started_service()
             first = await service.handle_simulate({"topology": "arpa", "m": 5})
             second = await service.handle_simulate({"topology": "arpa", "m": 5})
-            table = service.tables[("arpa", "distinct")]
+            table = service.tables[("arpa", "distinct", "spt")]
             await service.shutdown()
             return first, second, table
 
@@ -205,9 +205,9 @@ class TestSimulateLadder:
     def test_lazy_table_for_unconfigured_topology(self):
         async def go():
             service = await started_service()
-            assert ("r100", "distinct") not in service.tables
+            assert ("r100", "distinct", "spt") not in service.tables
             answer = await service.handle_simulate({"topology": "r100", "m": 9})
-            installed = ("r100", "distinct") in service.tables
+            installed = ("r100", "distinct", "spt") in service.tables
             await service.shutdown()
             return answer, installed
 
@@ -234,6 +234,58 @@ class TestSimulateLadder:
         )
         assert response.status == 400
         assert fragment in json.loads(response.body)["error"]
+
+
+class TestReplacementSizeBound:
+    """Replacement sizes stop at the table grid's 4·N top knot (arpa: 188)."""
+
+    def test_top_knot_is_served_and_one_past_it_is_refused(self, monkeypatch):
+        from repro.experiments import runner
+
+        draws = []
+        real = runner.sample_receivers_with_replacement_sweep
+
+        def counting(*args, **kwargs):
+            draws.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(
+            runner, "sample_receivers_with_replacement_sweep", counting
+        )
+
+        async def go():
+            service = await started_service()
+            try:
+                refused = [
+                    await service.dispatch(
+                        "POST",
+                        "/v1/simulate",
+                        json.dumps(
+                            dict(
+                                {"topology": "arpa", "m": 189,
+                                 "mode": "replacement"},
+                                **extra,
+                            )
+                        ).encode(),
+                    )
+                    for extra in ({}, {"exact": True})
+                ]
+                draws_before_top = len(draws)
+                top = await service.handle_simulate(
+                    {"topology": "arpa", "m": 188, "mode": "replacement"}
+                )
+            finally:
+                await service.shutdown()
+            return refused, draws_before_top, top
+
+        refused, draws_before_top, top = run(go())
+        assert [response.status for response in refused] == [400, 400]
+        for response in refused:
+            assert "at most 4 x 47 nodes = 188" in json.loads(response.body)["error"]
+        assert draws_before_top == 0  # refused before any sampler ran
+        assert top["source"] == "table"
+        assert top["degraded"] is False
+        assert draws  # the 188 table build did sample: the counter is live
 
 
 class TestCoalescing:
@@ -318,7 +370,7 @@ class TestTableSpeedup:
 
         async def go():
             service = await started_service(num_sources=2, num_receiver_sets=3)
-            table = service.tables[("arpa", "distinct")]
+            table = service.tables[("arpa", "distinct", "spt")]
             sizes = range(table.m_min, table.m_max + 1)
             table_rates = []
             for _ in range(4):
