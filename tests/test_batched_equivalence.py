@@ -12,6 +12,9 @@ an unexplained figure-level drift.
 
 from __future__ import annotations
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -22,6 +25,7 @@ from repro.experiments.config import MonteCarloConfig
 from repro.experiments.runner import measure_single_source_sweep, measure_sweep
 from repro.graph.core import Graph
 from repro.graph.paths import bfs
+from repro.multicast import sampling
 from repro.multicast.sampling import (
     sample_distinct_receivers,
     sample_distinct_receivers_sweep,
@@ -29,7 +33,7 @@ from repro.multicast.sampling import (
     sample_receivers_with_replacement_sweep,
 )
 from repro import obs
-from repro.exceptions import GraphError
+from repro.exceptions import GraphError, SamplingError
 from repro.multicast.tree import MulticastTreeCounter, _preorder_tables
 from repro.topology.registry import build_topology
 
@@ -395,8 +399,10 @@ class TestBatchedSampling:
     """Both sweep samplers against sequential scalar draws.
 
     The ``batch`` cases draw one size, the ``sweep`` cases several;
-    ``num_sets`` covers the single-set path (``1``) and the vectorized
-    one (``> 1``) in each.
+    ``num_sets`` covers single-set (``1``) and multi-set (``> 1``)
+    draws in each.  These small shapes all fall on the swap chains'
+    side of the strategy rule; :class:`TestDrawStrategies` forces each
+    strategy in turn.
     """
 
     @given(
@@ -475,6 +481,165 @@ class TestBatchedSampling:
             sample_receivers_with_replacement,
             num_nodes, sizes, num_sets, 0, seed,
         )
+
+
+#: Both distinct-draw strategies.  A sweep is forced onto one by the
+#: rule's receivers-per-site bound: infinity always takes the swap
+#: chains, 0 always the shuffle.
+DRAW_STRATEGIES = {"chains": float("inf"), "shuffle": 0}
+
+
+def _draw_counts():
+    series = obs.default_registry().get("repro_sampling_draws_total")
+    return {s: series.value(strategy=s) for s in DRAW_STRATEGIES}
+
+
+#: Every distinct-sweep validation error and its exact text, as raised
+#: before the pool stopped being built:
+#: ``(num_nodes, sizes, num_sets, source)`` -> message.
+DISTINCT_ERRORS = [
+    ((10, [3], 0, None), "num_sets must be >= 1, got 0"),
+    ((10, [3, 0], 2, None), "m must be >= 1, got 0"),
+    ((10, [11], 2, None),
+     "cannot draw 11 distinct receivers from 10 eligible sites"),
+    ((10, [3, 11], 1, None),
+     "cannot draw 11 distinct receivers from 10 eligible sites"),
+    ((10, [10], 2, 3), "cannot draw 10 distinct receivers from 9 eligible sites"),
+    ((0, [1], 1, None), "cannot draw 1 distinct receivers from 0 eligible sites"),
+    ((10, [3], 2, 10), "excluded nodes [10] out of range for 10 nodes"),
+    ((10, [3], 2, -1), "excluded nodes [-1] out of range for 10 nodes"),
+    ((-1, [3], 2, None), "num_nodes must be non-negative, got -1"),
+    ((-1, [3], 2, 0), "num_nodes must be non-negative, got -1"),
+]
+
+#: The same for the with-replacement sweep, which has one strategy.
+REPLACEMENT_ERRORS = [
+    ((10, [3], 0, None), "num_sets must be >= 1, got 0"),
+    ((10, [3, 0], 2, None), "n must be >= 1, got 0"),
+    ((10, [0], 2, 12), "n must be >= 1, got 0"),
+    ((1, [3], 2, 0), "no eligible receiver sites"),
+    ((0, [3], 2, None), "no eligible receiver sites"),
+    ((10, [3], 2, 10), "excluded nodes [10] out of range for 10 nodes"),
+    ((-2, [3], 2, None), "num_nodes must be non-negative, got -2"),
+]
+
+
+@st.composite
+def distinct_sweeps(draw):
+    """``(num_nodes, sizes, num_sets, source)`` up to whole-pool draws."""
+    num_nodes = draw(st.integers(2, 200))
+    source = draw(st.sampled_from([None, 0, num_nodes - 1]))
+    pool = num_nodes - (source is not None)
+    sizes = draw(st.lists(st.integers(1, pool), min_size=1, max_size=3))
+    num_sets = draw(st.sampled_from([1, 2, 6, 20]))
+    return num_nodes, sizes, num_sets, source
+
+
+class TestDrawStrategies:
+    """The swap chains and the shuffle draw the same distinct sets."""
+
+    @given(seed=seeds, case=distinct_sweeps())
+    @settings(max_examples=60, deadline=None)
+    def test_both_strategies_equal_the_textbook_shuffle(self, seed, case):
+        num_nodes, sizes, num_sets, source = case
+        for strategy, density in DRAW_STRATEGIES.items():
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(sampling, "_CHAIN_MAX_DENSITY", density)
+                before = _draw_counts()
+                swept = sample_distinct_receivers_sweep(
+                    num_nodes, sizes, num_sets, source=source,
+                    rng=np.random.default_rng(seed),
+                )
+                after = _draw_counts()
+                assert after[strategy] - before[strategy] == 1, strategy
+                scalar_rng = np.random.default_rng(seed)
+                reference_rng = np.random.default_rng(seed)
+                for m, matrix in zip(sizes, swept):
+                    assert matrix.dtype == np.int32
+                    assert matrix.shape == (num_sets, m)
+                    for row in matrix:
+                        expected = _reference_distinct(
+                            num_nodes, m, source, reference_rng
+                        )
+                        assert row.tolist() == expected.tolist(), strategy
+                        scalar = sample_distinct_receivers(
+                            num_nodes, m, source=source, rng=scalar_rng
+                        )
+                        assert row.tolist() == scalar.tolist(), strategy
+
+    def test_million_node_sweep_is_pinned(self):
+        """The million-store draw shape, hashed at the commit before the
+        swap chains existed: the rewrite moved no receiver."""
+        swept = sample_distinct_receivers_sweep(
+            1_000_000, [1, 10, 100, 1000], 8, source=0,
+            rng=np.random.default_rng(1),
+        )
+        assert [m.shape for m in swept] == [(8, 1), (8, 10), (8, 100), (8, 1000)]
+        digest = hashlib.sha256(
+            b"".join(m.astype("<i4").tobytes() for m in swept)
+        ).hexdigest()
+        assert digest == (
+            "57e1779204710a14a4c2e13753f5b1e2458786b2aa738a50ae40a5b02bd8beb8"
+        )
+
+    def test_sparse_draws_build_no_pool(self):
+        """At 10^7 nodes, 8 x 1000 distinct and with-replacement draws
+        stay within a few MB: nothing O(num_nodes) is allocated (a pool
+        copy per set alone would be 320 MB)."""
+        num_nodes = 10**7
+        before = _draw_counts()
+        tracemalloc.start()
+        try:
+            distinct = sample_distinct_receivers_sweep(
+                num_nodes, [1000], 8, source=0, rng=np.random.default_rng(3)
+            )
+            replacement = sample_receivers_with_replacement_sweep(
+                num_nodes, [1000], 8, source=0, rng=np.random.default_rng(3)
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert _draw_counts()["chains"] - before["chains"] == 1
+        for matrix in distinct + replacement:
+            assert matrix.shape == (8, 1000)
+            assert matrix.min() >= 1 and matrix.max() < num_nodes
+        assert all(len(set(row.tolist())) == 1000 for row in distinct[0])
+
+    @pytest.mark.parametrize("strategy", sorted(DRAW_STRATEGIES))
+    @pytest.mark.parametrize(
+        "args,message", DISTINCT_ERRORS, ids=[m for _, m in DISTINCT_ERRORS]
+    )
+    def test_distinct_errors_draw_nothing(
+        self, monkeypatch, strategy, args, message
+    ):
+        monkeypatch.setattr(
+            sampling, "_CHAIN_MAX_DENSITY", DRAW_STRATEGIES[strategy]
+        )
+        num_nodes, sizes, num_sets, source = args
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(SamplingError) as raised:
+            sample_distinct_receivers_sweep(
+                num_nodes, sizes, num_sets, source=source, rng=rng
+            )
+        assert str(raised.value) == message
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize(
+        "args,message", REPLACEMENT_ERRORS,
+        ids=[m for _, m in REPLACEMENT_ERRORS],
+    )
+    def test_replacement_errors_draw_nothing(self, args, message):
+        num_nodes, sizes, num_sets, source = args
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(SamplingError) as raised:
+            sample_receivers_with_replacement_sweep(
+                num_nodes, sizes, num_sets, source=source, rng=rng
+            )
+        assert str(raised.value) == message
+        assert rng.bit_generator.state == state
 
 
 # ---------------------------------------------------------------------------
