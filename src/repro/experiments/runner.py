@@ -142,7 +142,8 @@ def _count_samples(
 ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
     """Per-size links and unicast totals for one source's whole sweep.
 
-    Every size of the sweep is counted in one flat vectorized walk.  The
+    Every size of the sweep is counted in one batched call, by the
+    climb or the preorder path, whichever the call's density picks.  The
     batched samplers are stream-compatible with repeated one-sample
     draws and counting draws nothing, so the integer arrays equal those
     of a sample-at-a-time loop over the same stream.

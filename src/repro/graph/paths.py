@@ -284,7 +284,6 @@ def distances_from(graph: Graph, source: int) -> np.ndarray:
 def distance_matrix(
     graph: Graph,
     nodes: Optional[Sequence[int]] = None,
-    use_cache: bool = True,
 ) -> np.ndarray:
     """All-pairs (or some-pairs) hop-distance matrix.
 
@@ -296,34 +295,29 @@ def distance_matrix(
         Optional row subset; when given, returns distances from each of
         these nodes to *all* nodes (shape ``(len(nodes), num_nodes)``).
         Defaults to all nodes.
-    use_cache:
-        Serve rows from the process-wide
-        :class:`repro.graph.forest_cache.ForestCache` (the default).
-        Only engaged while the row count fits the cache capacity — a full
-        all-pairs sweep on a large graph would churn the whole cache for
-        nothing, so it falls back to direct BFS.
 
     Notes
     -----
-    Memory is ``O(rows × num_nodes)`` int32 — fine for the ≤ ~10k-node
-    graphs on which callers (affinity sampling, diameter checks) use it.
+    Rows come from the process-wide
+    :class:`repro.graph.forest_cache.ForestCache` while the row count
+    fits its capacity; a larger request would churn the whole cache for
+    nothing, so it runs direct BFS instead.  Memory is
+    ``O(rows × num_nodes)`` int32 — fine for the ≤ ~10k-node graphs on
+    which callers (affinity sampling, diameter checks) use it.
     """
     row_nodes = (
         np.arange(graph.num_nodes, dtype=np.int64)
         if nodes is None
         else np.asarray([graph.check_node(v) for v in nodes], dtype=np.int64)
     )
-    cache = None
-    if use_cache:
-        # Imported here: forest_cache depends on this module's bfs().
-        from repro.graph.forest_cache import default_forest_cache
+    # Imported here: forest_cache depends on this module's bfs().
+    from repro.graph.forest_cache import default_forest_cache
 
-        candidate = default_forest_cache()
-        if row_nodes.size <= candidate.max_entries:
-            cache = candidate
+    cache = default_forest_cache()
+    cached = row_nodes.size <= cache.max_entries
     out = np.empty((row_nodes.size, graph.num_nodes), dtype=np.int32)
     for i, node in enumerate(row_nodes):
-        if cache is not None:
+        if cached:
             out[i] = cache.forest(graph, int(node), tie_break="first").dist
         else:
             out[i] = distances_from(graph, int(node))

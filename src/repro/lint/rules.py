@@ -334,9 +334,10 @@ class DtypeDisciplineRule(Rule):
         "without dtype, float/oversized stores into int32 arrays)"
     )
     rationale = (
-        "The batched walk is memory-bound and keeps all scratch int32; "
-        "np.arange defaults to the platform int and a float or wide "
-        "store silently upcasts or wraps, so the engines drift apart on "
+        "The BFS kernel's dist/parent, the tree counter's int32 views "
+        "of them and its preorder tables stay int32 to halve memory "
+        "traffic; np.arange defaults to the platform int and a float or "
+        "wide store silently upcasts or wraps, so the engines drift apart on "
         "exactly the large instances the equivalence suite cannot "
         "afford to cover."
     )
@@ -482,7 +483,7 @@ class DtypeDisciplineRule(Rule):
 
     def end_file(self, ctx: FileContext) -> None:
         # Close declared-int32 over simple aliases within each scope
-        # (``stamp = self._batch_stamp``).
+        # (``parent = self._parent32``).
         changed = True
         while changed:
             changed = False

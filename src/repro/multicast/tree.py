@@ -89,29 +89,17 @@ class MulticastTreeCounter:
         self._dist = forest.dist
         self._source = forest.source
         # The scalar walks' visited stamps, allocated on first use: the
-        # batched walk never reads them.
+        # batched paths never read them.
         self._stamp: Optional[np.ndarray] = None
         self._epoch = 0
-        # Per-set stamps for the batched walk, lazily sized to the largest
-        # (num_sets x num_nodes) request seen so far; claim is the
-        # same-shaped scratch electing one walker per (set, node).  Both
-        # are int32, as is the parent array the walk gathers from — the
-        # batched walk is memory-bound, so half-width state is a real win.
-        # BFS forests and store rows are int32 already, and the walk only
-        # reads them, so no copy is taken.
+        # int32 views of the forest for the batched paths, which only
+        # read them: BFS forests and store rows are int32 already, so no
+        # copy is taken.
         self._parent32 = forest.parent.astype(np.int32, copy=False)
         self._dist32 = forest.dist.astype(np.int32, copy=False)
-        self._batch_stamp: np.ndarray = np.empty(0, dtype=np.int32)
-        self._batch_claim: np.ndarray = np.empty(0, dtype=np.int32)
-        self._batch_epoch = 0
         # The preorder path's tables (_preorder_tables), built by the
         # first counting call that takes that path.
         self._preorder: Optional[Tuple[np.ndarray, ...]] = None
-        # Walk keys pack (row, node) as ``row << shift | node`` so the
-        # row/node splits in the hot loop are shifts and masks, not
-        # division; span is the padded per-row key range.
-        self._key_shift = max(forest.num_nodes - 1, 0).bit_length()
-        self._key_span = 1 << self._key_shift
 
     @property
     def forest(self) -> ShortestPathForest:
@@ -193,12 +181,11 @@ class MulticastTreeCounter:
         Notes
         -----
         Dense calls count from preorder ranks (see the module
-        docstring); the rest walk all rows simultaneously: each
-        iteration advances every still-active (set, node) walker one
-        parent step, stamps the newly visited nodes of each set, and
-        retires walkers that reach the source or an already-stamped
-        node.  The loop runs at most ``eccentricity(source)`` times, with
-        O(active walkers) vector work per iteration — the per-receiver
+        docstring); the rest climb all rows together, one BFS level per
+        iteration from the deepest receiver up: the distinct
+        ``(set, node)`` pairs at each level are exactly that level's tree
+        links.  The loop runs ``eccentricity(source)`` times at most,
+        with one ``np.unique`` over the level's pairs — the per-receiver
         Python loop of :meth:`tree_size` disappears entirely.
         """
         matrix = self._as_receiver_matrix(receiver_matrix)
@@ -212,7 +199,7 @@ class MulticastTreeCounter:
 
         Equivalent to calling :meth:`tree_sizes_batch` and
         :meth:`unicast_totals_batch` on each matrix, but all matrices
-        are counted together — one path choice, one flat walk or one
+        are counted together — one path choice, one climb or one
         preorder build for the whole call — and one distance gather
         serves the reachability check, the unicast totals and the
         preorder count.  This is the Monte-Carlo engine's fast path:
@@ -284,121 +271,48 @@ class MulticastTreeCounter:
             )
         return out
 
-    # Rows walked together are capped so the stamp/claim scratch stays
-    # cache-resident: random gathers into a buffer that spills out of L2
-    # cost several times more per walker step than the per-chunk loop
-    # overhead they would save.
-    _WALK_SCRATCH_BYTES = 1 << 20
-
     def _walk_blocks(self, blocks: List[np.ndarray]) -> List[np.ndarray]:
-        """Level-synchronous walk over the rows of all ``blocks``.
+        """Depth-bucketed climb over the rows of all ``blocks``.
 
         Returns one ``(num_sets,)`` link-count array per block; row ``r``
         of block ``b`` behaves exactly like an independent
-        :meth:`tree_size` call on that row.  Rows are regrouped into
-        cache-sized chunks — many small matrices cost one walk, and an
-        oversized matrix is split rather than spilling the scratch.
+        :meth:`tree_size` call on that row.  Every receiver becomes an
+        int64 key ``row << shift | node``, sorted once by depth.  From
+        the deepest level up, the climbers from below join the receivers
+        at that depth, one ``np.unique`` keeps each key once, and each
+        key steps to its parent.  A ``(row, node)`` key can only appear
+        at step ``dist[node]``, so each tree link of each row is counted
+        exactly once, and the source (depth 0) never is.
         """
-        row_counts = [block.shape[0] for block in blocks]
-        total_rows = sum(row_counts)
-        links = np.zeros(total_rows, dtype=np.int64)
-        rows_cap = max(1, self._WALK_SCRATCH_BYTES // (4 * self._key_span))
-        chunk: List[np.ndarray] = []
-        chunk_rows = 0
-        links_offset = 0
-        for block in blocks:
-            taken = 0
-            rows = block.shape[0]
-            while taken < rows:
-                take = min(rows - taken, rows_cap - chunk_rows)
-                chunk.append(block[taken:taken + take])
-                chunk_rows += take
-                taken += take
-                if chunk_rows == rows_cap:
-                    self._walk_chunk(chunk, chunk_rows, links, links_offset)
-                    links_offset += chunk_rows
-                    chunk, chunk_rows = [], 0
-        if chunk_rows:
-            self._walk_chunk(chunk, chunk_rows, links, links_offset)
-        out = []
-        offset = 0
-        for rows in row_counts:
-            out.append(links[offset:offset + rows])
-            offset += rows
-        return out
-
-    def _walk_chunk(
-        self,
-        blocks: List[np.ndarray],
-        num_rows: int,
-        links: np.ndarray,
-        links_offset: int,
-    ) -> None:
-        """Walk ``num_rows`` receiver rows; add counts into ``links``.
-
-        Walker state is one packed ``row << shift | node`` int32 key per
-        (row, node) pair (the chunk cap keeps ``num_rows << shift`` far
-        below 2**31).
-        """
-        shift = self._key_shift
-        span = self._key_span
-        needed = num_rows * span
-        if self._batch_stamp.size < needed:
-            self._batch_stamp = np.zeros(needed, dtype=np.int32)
-            self._batch_claim = np.zeros(needed, dtype=np.int32)
-            self._batch_epoch = 0
-        if self._batch_epoch >= np.iinfo(np.int32).max - 1:
-            self._batch_stamp[:] = 0
-            self._batch_epoch = 0
-        self._batch_epoch += 1
-        epoch = self._batch_epoch
-        stamp = self._batch_stamp
-        claim = self._batch_claim
-        parent = self._parent32
-        mask = np.int32(span - 1)
-        key_parts = []
+        shift = max(self._dist.shape[0] - 1, 0).bit_length()
+        mask = (1 << shift) - 1
+        parts = [np.empty(0, dtype=np.int64)]
+        spans = []
         row = 0
         for block in blocks:
-            rows, size = block.shape
-            if rows and size:
-                row_ids = np.repeat(
-                    np.arange(row, row + rows, dtype=np.int32) << shift, size
-                )
-                flat = np.asarray(block.ravel(), dtype=np.int32)
-                key_parts.append(row_ids | flat)
+            rows = block.shape[0]
+            row_ids = np.arange(row, row + rows, dtype=np.int64) << shift
+            parts.append((row_ids[:, None] | block).ravel())
+            spans.append(slice(row, row + rows))
             row += rows
-        if not key_parts:
-            return
-        keys = np.concatenate(key_parts)
-        # Pre-stamping the source cell of every row retires walkers the
-        # moment they arrive there, so the level loop needs no separate
-        # source test.
-        stamp[
-            (np.arange(num_rows, dtype=np.int32) << shift) | self._source
-        ] = epoch
-        claimed = []
-        while keys.size:
-            fresh = stamp[keys] != epoch
-            keys = keys[fresh]
-            if keys.size == 0:
-                break
-            # Two walkers of one row may reach the same node in the same
-            # step (duplicate receivers, merging paths): keep one each.
-            # Last write to claim[key] wins, electing one walker per key
-            # without a sort.
-            order = np.arange(keys.size, dtype=np.int32)
-            claim[keys] = order
-            winner = claim[keys] == order
-            keys = keys[winner]
-            stamp[keys] = epoch
-            claimed.append(keys)
-            nodes = keys & mask
-            keys = keys + (parent[nodes] - nodes)
-        if claimed:
-            stamped = np.concatenate(claimed)
-            links[links_offset:links_offset + num_rows] += np.bincount(
-                stamped >> shift, minlength=num_rows
-            )[:num_rows]
+        keys = np.concatenate(parts)
+        depth = np.take(self._dist32, keys & mask)
+        order = np.argsort(depth)
+        keys = keys[order]
+        levels = np.searchsorted(
+            depth[order], np.arange(depth.max(initial=0) + 2, dtype=np.int32)
+        )
+        parent = self._parent32
+        climbers = keys[:0]
+        used = [climbers]
+        for level in range(levels.size - 2, 0, -1):
+            arrivals = keys[levels[level]:levels[level + 1]]
+            climbers = np.unique(np.concatenate([climbers, arrivals]))
+            used.append(climbers)
+            nodes = climbers & mask
+            climbers = climbers + (np.take(parent, nodes) - nodes)
+        links = np.bincount(np.concatenate(used) >> shift, minlength=row)
+        return [links[span] for span in spans]
 
     def unicast_total(self, receivers: Sequence[int]) -> int:
         """Total link traversals if each receiver were reached by unicast.

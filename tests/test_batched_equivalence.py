@@ -61,7 +61,8 @@ def connected_graphs(draw, max_nodes: int = 20):
 
 @st.composite
 def counting_cases(draw):
-    """A counter plus a receiver matrix (duplicates deliberately allowed)."""
+    """A counter plus a receiver matrix (duplicates deliberately allowed,
+    and zero rows or zero columns too)."""
     graph = draw(connected_graphs())
     source = draw(st.integers(min_value=0, max_value=graph.num_nodes - 1))
     tie_break = draw(st.sampled_from(["first", "random"]))
@@ -71,8 +72,8 @@ def counting_cases(draw):
         tie_break=tie_break,
         rng=draw(st.integers(0, 3)) if tie_break == "random" else None,
     )
-    num_sets = draw(st.integers(min_value=1, max_value=5))
-    size = draw(st.integers(min_value=1, max_value=graph.num_nodes))
+    num_sets = draw(st.integers(min_value=0, max_value=5))
+    size = draw(st.integers(min_value=0, max_value=graph.num_nodes))
     matrix = np.asarray(
         draw(
             st.lists(
@@ -86,7 +87,7 @@ def counting_cases(draw):
             )
         ),
         dtype=np.int64,
-    )
+    ).reshape(num_sets, size)
     return MulticastTreeCounter(forest), matrix
 
 
@@ -166,42 +167,25 @@ class TestBatchedCounting:
                     block
                 ).tolist()
 
-    def test_chunked_walk_matches_unchunked(self):
-        """Forcing tiny walk chunks must not change any count."""
-        graph = build_topology("internet", scale=0.05, rng=0)
-        forest = bfs(graph, 0)
-        # 1088 receivers on ~500 nodes would take the preorder path, so
-        # both counters are forced onto the walk.
-        counter = _forced(forest, "walk")
-        rng = np.random.default_rng(7)
-        matrix = rng.integers(0, graph.num_nodes, size=(64, 17))
-        expected = counter.tree_sizes_batch(matrix)
-        tiny = _forced(forest, "walk")
-        tiny._WALK_SCRATCH_BYTES = 4 * tiny._key_span  # one row per chunk
-        chunks = []
-        walk_chunk = tiny._walk_chunk
-        tiny._walk_chunk = lambda *a: chunks.append(a[1]) or walk_chunk(*a)
-        assert tiny.tree_sizes_batch(matrix).tolist() == expected.tolist()
-        assert chunks == [1] * matrix.shape[0]
-        assert expected.tolist() == [counter.tree_size(r) for r in matrix]
-        # Chunks that straddle the two blocks of a fused call.
-        links, _ = tiny.count_trees_and_unicast([matrix[:5], matrix[5:]])
-        assert np.concatenate(links).tolist() == expected.tolist()
-
-    def test_epoch_wrap_leaves_counts_unchanged(self):
-        """Near the int32 limit the walk zeroes its stamps and restarts
-        the epoch; counts before and after the reset must agree."""
-        forest = bfs(build_topology("internet", scale=0.05, rng=0), 0)
-        counter = _forced(forest, "walk")
-        matrix = np.random.default_rng(3).integers(
-            0, forest.num_nodes, size=(16, 9)
+    def test_walk_keys_past_int32(self):
+        """40,000 rows over 70,001 nodes: the packed ``row << shift | node``
+        keys of the later rows exceed 2**31, so they must stay int64."""
+        n, rows = 70_001, 40_000
+        graph = Graph.from_edges(
+            n, np.column_stack([np.zeros(n - 1, dtype=np.int64),
+                                np.arange(1, n, dtype=np.int64)])
         )
-        expected = counter.tree_sizes_batch(matrix).tolist()
-        limit = np.iinfo(np.int32).max
-        counter._batch_epoch = limit - 3
-        for _ in range(4):  # crosses the reset
-            assert counter.tree_sizes_batch(matrix).tolist() == expected
-        assert counter._batch_epoch < limit - 3
+        forest = bfs(graph, 0)  # a star: every leaf is one link deep
+        matrix = np.random.default_rng(11).integers(0, n, size=(rows, 2))
+        matrix[::7, 1] = matrix[::7, 0]  # duplicates
+        matrix[::11, 0] = 0  # the source as a receiver
+        matrix[-1] = [n - 1, n - 2]
+        links = _forced(forest, "walk").tree_sizes_batch(matrix)
+        leaves = (matrix != 0).sum(axis=1)
+        closed_form = np.where(matrix[:, 0] == matrix[:, 1], leaves > 0, leaves)
+        assert links.tolist() == closed_form.tolist()
+        scalar = MulticastTreeCounter(forest)
+        assert links.tolist() == [scalar.tree_size(row) for row in matrix]
 
     def test_disconnected_graph_counts_source_component(self):
         # Components {0..4} (a path with a branch) and {5, 6}, plus 7.
