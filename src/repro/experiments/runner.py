@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import logging
 from collections import OrderedDict
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -248,7 +248,7 @@ def _source_counts(
     processes ship back.  Keeping the hand-off integral is what makes
     grid chunking bit-identical: float summation is non-associative, so
     the parent must see the same arrays the serial path feeds to
-    :func:`_partials_from_counts`, however the rows were split.
+    :func:`_reduce_counts`, however the rows were split.
 
     With a ``distance_store`` the source's forest comes from the mmap'd
     rows instead of a fresh BFS; on a *complete* store the source draw
@@ -271,70 +271,55 @@ def _source_counts(
     )
 
 
-def _partials_from_counts(
+def _reduce_counts(
     size_list: Sequence[int],
-    links_list: Sequence[np.ndarray],
-    totals_list: Sequence[np.ndarray],
+    source_counts: Iterable[Tuple[Sequence[np.ndarray], Sequence[np.ndarray]]],
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The float half: per-size partial sums from one source's counts.
+    """The float half: per-size sums over every source's counts.
 
-    Returns ``(ratio_sum, tree_sum, tree_sq_sum, path_sum, count)``
-    arrays over the swept sizes; ``count`` holds the number of samples
-    whose ratio was well-defined (``ū > 0``).
+    ``source_counts`` yields one ``(links_list, totals_list)`` per
+    source, in source order, and is read once.  Returns ``(ratio_sum,
+    tree_sum, tree_sq_sum, path_sum, count)`` arrays over the swept
+    sizes; ``count`` holds the number of samples whose ratio was
+    well-defined (``ū > 0``).  Each source's rows are summed alone and
+    the row sums accumulate in source order, so the floats do not
+    depend on how the work was laid out.
     """
-    # Every size has the same rows, so the counts stack into
-    # (num_sizes, rows) arrays.
-    links = np.array(links_list, dtype=float)
-    mean_path = np.array(totals_list) / np.array(size_list)[:, None]
-    if (mean_path > 0).all():
-        # Every ratio is defined (always, when the source site is
-        # excluded).  Row sums of a C-contiguous array are the same
-        # pairwise sums as np.sum over each row alone.
-        return (
-            np.sum(links / mean_path, axis=1),
-            links.sum(axis=1),
-            np.sum(links * links, axis=1),
-            mean_path.sum(axis=1),
-            np.full(len(size_list), links.shape[1], dtype=np.int64),
-        )
-    num_sizes = len(size_list)
-    ratio_sum = np.zeros(num_sizes)
-    tree_sum = np.zeros(num_sizes)
-    tree_sq_sum = np.zeros(num_sizes)
-    path_sum = np.zeros(num_sizes)
-    count = np.zeros(num_sizes, dtype=np.int64)
-    for size_idx in range(num_sizes):
-        valid = mean_path[size_idx] > 0
-        kept = links[size_idx][valid]
-        paths = mean_path[size_idx][valid]
-        count[size_idx] = kept.size
-        ratio_sum[size_idx] = float(np.sum(kept / paths))
-        tree_sum[size_idx] = float(kept.sum())
-        tree_sq_sum[size_idx] = float(np.sum(kept * kept))
-        path_sum[size_idx] = float(paths.sum())
+    sizes = np.array(size_list)[:, None]
+    sums = np.zeros((4, len(size_list)))
+    count = np.zeros(len(size_list), dtype=np.int64)
+    for links_list, totals_list in source_counts:
+        # Every size has the same rows, so the counts stack into
+        # (num_sizes, rows) arrays.
+        links = np.array(links_list, dtype=float)
+        mean_path = np.array(totals_list) / sizes
+        if (mean_path > 0).all():
+            # Every ratio is defined (always, when the source site is
+            # excluded).  Row sums of a C-contiguous array are the same
+            # pairwise sums as np.sum over each row alone.
+            sums += (
+                np.sum(links / mean_path, axis=1),
+                links.sum(axis=1),
+                np.sum(links * links, axis=1),
+                mean_path.sum(axis=1),
+            )
+            count += links.shape[1]
+            continue
+        # Some sample's receivers all sit on the source (ū = 0): reduce
+        # each size over its defined ratios alone.
+        for size_idx in range(len(size_list)):
+            valid = mean_path[size_idx] > 0
+            kept = links[size_idx][valid]
+            paths = mean_path[size_idx][valid]
+            count[size_idx] += kept.size
+            sums[:, size_idx] += (
+                np.sum(kept / paths),
+                kept.sum(),
+                np.sum(kept * kept),
+                paths.sum(),
+            )
+    ratio_sum, tree_sum, tree_sq_sum, path_sum = sums
     return ratio_sum, tree_sum, tree_sq_sum, path_sum, count
-
-
-def _source_partials(
-    graph: Graph,
-    child_seed: np.random.SeedSequence,
-    size_list: Sequence[int],
-    mode: str,
-    num_receiver_sets: int,
-    tie_break: str,
-    exclude_source_site: bool,
-    use_cache: bool,
-    algorithm: str = "spt",
-    distance_store: Optional[
-        Union[DistanceStore, DistanceStoreDescriptor]
-    ] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-size partial sums contributed by one source (serial path)."""
-    links_list, totals_list = _source_counts(
-        graph, child_seed, size_list, mode, num_receiver_sets,
-        tie_break, exclude_source_site, use_cache, algorithm, distance_store,
-    )
-    return _partials_from_counts(size_list, links_list, totals_list)
 
 
 def measure_sweep(
@@ -456,20 +441,18 @@ def measure_sweep(
     sweep_span = obs.span("runner.sweep", **span_attrs)
     with sweep_span:
         if num_workers > 1:
-            source_counts = run_sweep_chunks(
+            sums = _reduce_counts(size_list, run_sweep_chunks(
                 graph, children, config.num_receiver_sets, num_workers,
                 _source_counts, task_args,
-            )
-            partials = [
-                _partials_from_counts(size_list, links_list, totals_list)
-                for links_list, totals_list in source_counts
-            ]
+            ))
         else:
             with obs.span("runner.chunk", chunk=0, sources=len(children)):
-                partials = [
-                    _source_partials(graph, child, *task_args)
+                # A generator: each source's counts are reduced and
+                # dropped before the next source is counted.
+                sums = _reduce_counts(size_list, (
+                    _source_counts(graph, child, *task_args)
                     for child in children
-                ]
+                ))
             _OBS_CHUNKS.inc(path="serial")
         total_samples = (
             config.num_sources * config.num_receiver_sets * len(size_list)
@@ -483,19 +466,7 @@ def measure_sweep(
     if elapsed:
         _OBS_RATE.set(total_samples / elapsed)
 
-    num_sizes = len(size_list)
-    ratio_sum = np.zeros(num_sizes)
-    tree_sum = np.zeros(num_sizes)
-    tree_sq_sum = np.zeros(num_sizes)
-    path_sum = np.zeros(num_sizes)
-    counts = np.zeros(num_sizes, dtype=np.int64)
-    # Reduce in source order: bit-identical however the work was laid out.
-    for ratio, tree, tree_sq, path, count in partials:
-        ratio_sum += ratio
-        tree_sum += tree
-        tree_sq_sum += tree_sq
-        path_sum += path
-        counts += count
+    ratio_sum, tree_sum, tree_sq_sum, path_sum, counts = sums
 
     divisor = np.maximum(counts, 1)  # all-skipped sizes report 0.0
     mean_tree = tree_sum / divisor

@@ -137,7 +137,7 @@ def _gather_frontier_arcs(
     return indices[flat], np.repeat(frontier, counts)
 
 
-def _levels(graph: Graph, seeds, generator=None, stop=None):
+def _levels(graph: Graph, seeds, generator=None):
     """The one BFS kernel: level-synchronous search whose level 0 is ``seeds``.
 
     Returns int32 ``(dist, parent)``.  Among equal-distance candidate
@@ -146,13 +146,6 @@ def _levels(graph: Graph, seeds, generator=None, stop=None):
     (``tie_break="random"``, where the first arc in permuted order wins).
     Seeds must be valid, unique node ids; their order is the level-0
     frontier order.
-
-    ``stop`` is an optional bool mask over nodes: the search finishes
-    the level in which it first claims a node whose bit is set and
-    returns, leaving every later node at ``-1``.  Seeds are never
-    claimed, so a bit on a seed stops nothing.  A level's claims depend
-    only on earlier levels, so every node the stopped search reaches
-    has the ``dist`` and ``parent`` of the full search.
 
     Each level elects its first arcs with a claim instead of a sort: the
     ``k`` fresh arcs are numbered ``0..k-1``, every target's ``parent``
@@ -195,8 +188,6 @@ def _levels(graph: Graph, seeds, generator=None, stop=None):
         claimed = neighbours[winner]
         dist[claimed] = level
         parent[claimed] = parents[winner]
-        if stop is not None and stop[claimed].any():
-            break
         frontier = np.sort(claimed)
     return dist, parent
 
@@ -252,7 +243,7 @@ def bfs_from_many(graph: Graph, sources: Sequence[int]):
     return dist, parent
 
 
-def multi_source_bfs(graph: Graph, seeds: Sequence[int], *, stop=None):
+def multi_source_bfs(graph: Graph, seeds: Sequence[int]):
     """BFS from a *set* of seed nodes simultaneously.
 
     Returns 1-D ``(dist, parent)`` arrays: ``dist[v]`` is the hop
@@ -260,8 +251,6 @@ def multi_source_bfs(graph: Graph, seeds: Sequence[int], *, stop=None):
     pointers from any reachable node terminates at some seed (whose
     parent is ``-1``).  Level 0 is the sorted unique seed set, so every
     parent choice matches :func:`bfs`'s ``tie_break="first"`` rule.
-    ``stop`` (a bool mask over nodes) ends the search after the first
-    level that reaches a masked node; see :func:`_levels`.
     """
     if not isinstance(seeds, np.ndarray):
         seeds = list(seeds)
@@ -273,7 +262,7 @@ def multi_source_bfs(graph: Graph, seeds: Sequence[int], *, stop=None):
         # Name the smallest bad id, whichever side of the range it is on.
         bad = seed[0] if seed[0] < 0 else seed[np.searchsorted(seed, n)]
         raise NodeError(int(bad), n)
-    return _levels(graph, seed, stop=stop)
+    return _levels(graph, seed)
 
 
 def distances_from(graph: Graph, source: int) -> np.ndarray:

@@ -56,7 +56,7 @@ import numpy as np
 
 from repro.exceptions import ExperimentError, GraphError
 from repro.graph.core import Graph
-from repro.graph.paths import ShortestPathForest, bfs, multi_source_bfs
+from repro.graph.paths import ShortestPathForest, bfs
 from repro.multicast.tree import DeliveryTree, MulticastTreeCounter, _spt_tree
 
 __all__ = [
@@ -243,54 +243,56 @@ def _graft_tree(
     source: int,
     receivers: Sequence[int],
     nearest: bool,
+    forest: Optional[ShortestPathForest] = None,
 ) -> DeliveryTree:
     """Grow a tree by grafting one shortest path to it per step.
 
-    Each step runs one multi-source BFS from the current tree and
-    grafts the parent chain of one receiver not yet in it.  With
-    ``nearest`` the target is the closest such receiver by
-    ``(distance, id)`` — Takahashi–Matsuyama, at most twice the Steiner
-    optimum, *unguarded* — otherwise it is the first in arrival order
-    (``dst-approx``).  Costs one BFS per graft, stopped at the target's
-    level.
+    With ``nearest`` each step grafts the receiver closest to the tree
+    by ``(distance, id)`` — Takahashi–Matsuyama, at most twice the
+    Steiner optimum, *unguarded* — otherwise the first receiver not yet
+    in the tree, in arrival order (``dst-approx``).
 
-    The stop is exact: a BFS level's claims depend only on earlier
-    levels, so every node the stopped search reaches carries the
-    ``dist`` and ``parent`` of the full one.  TM stops on any pending
-    receiver, and no pending receiver lies nearer than the stop level
-    (the search would have stopped there), so the nearest ``(dist, id)``
-    is the smallest pending id reached.  dst-approx stops on its target
-    alone.  A bit stays set once its receiver joins the tree: tree
-    nodes are seeds, and a seed is never claimed.
+    One int32 distance-to-tree array serves the whole build.  It starts
+    as a copy of the source forest's ``dist`` (the tree is the source
+    alone; cached forests are frozen).  A graft walks from its target to
+    the tree, each step to the lowest-id neighbour one hop nearer, then
+    lowers the array from the new tree nodes (:func:`_lower_distances`).
+    That walk elects the parent a multi-source BFS from the whole tree
+    would: each BFS level's frontier is the sorted set of every node one
+    level nearer, so its first arc into a node comes from the lowest-id
+    such neighbour.  Every tree equals the one a fresh BFS per graft
+    builds, without an n-sized allocation per graft.
     """
     source = graph.check_node(source)
     pending = np.asarray(
         [graph.check_node(int(r)) for r in receivers], dtype=np.int64
     )
-    in_tree = np.zeros(graph.num_nodes, dtype=bool)
-    in_tree[source] = True
-    stop = np.zeros(graph.num_nodes, dtype=bool)
     if nearest:
-        stop[pending] = True
+        # Sorted ids: the first minimum distance is the smallest id.
+        pending = np.unique(pending)
+    dist = _resolve_forest(graph, source, forest).dist.astype(np.int32)
+    indptr, indices = graph.indptr, graph.indices
     edges: List[Tuple[int, int]] = []
     while True:
-        pending = pending[~in_tree[pending]]
+        pending = pending[dist[pending] != 0]
         if not pending.size:
             break
-        if not nearest:
-            stop[pending[0]] = True
-        dist, parent = multi_source_bfs(
-            graph, np.flatnonzero(in_tree), stop=stop
-        )
-        if nearest:
-            reached = pending[dist[pending] >= 0]
-            target = int(reached.min() if reached.size else pending.min())
-        else:
-            target = int(pending[0])
+        # An unreachable receiver (-1) reads as the largest uint32, so
+        # it becomes the target only once no reachable one is left.
+        pick = np.argmin(dist[pending].view(np.uint32)) if nearest else 0
+        target = int(pending[pick])
         if dist[target] < 0:
             raise GraphError(f"receiver {target} is unreachable from the tree")
-        _graft_chain(in_tree, edges, parent, target)
-    nodes, edge_array = _tree_arrays(in_tree, edges)
+        grafted = []
+        node = target
+        while dist[node]:
+            around = indices[indptr[node]:indptr[node + 1]]
+            up = int(around[dist[around] == dist[node] - 1].min())
+            edges.append((up, node))
+            grafted.append(node)
+            node = up
+        _lower_distances(graph, dist, grafted)
+    nodes, edge_array = _tree_arrays(dist == 0, edges)
     return DeliveryTree(
         source=source,
         receivers=tuple(int(r) for r in receivers),
@@ -300,14 +302,48 @@ def _graft_tree(
     )
 
 
+def _lower_distances(
+    graph: Graph, dist: np.ndarray, seeds: Sequence[int]
+) -> None:
+    """Make ``seeds`` tree nodes: lower ``dist`` in place to the new tree.
+
+    A level-synchronous pass from the seeds that visits only the nodes
+    whose distance it improves, and stops at the first level that
+    improves none.  It misses no node: every node on a shortest path
+    from a seed to an improved node is improved too.  Nothing reads a
+    parent, so a level is one gather, one filter and a sorted dedupe.
+    """
+    indptr, indices = graph.indptr, graph.indices
+    frontier = np.asarray(seeds, dtype=np.int32)
+    dist[frontier] = 0
+    level = 0
+    while frontier.size:
+        level += 1
+        # Every arc leaving the frontier: node-major runs from indptr.
+        starts = indptr[frontier]
+        counts = indptr[frontier + 1] - starts
+        arcs = np.repeat(starts - np.cumsum(counts) + counts, counts)
+        arcs += np.arange(arcs.size, dtype=np.int64)
+        around = indices[arcs]
+        closer = around[dist[around] > level]
+        dist[closer] = level
+        closer.sort()
+        fresh = np.empty(closer.size, dtype=bool)
+        fresh[:1] = True
+        np.not_equal(closer[1:], closer[:-1], out=fresh[1:])
+        frontier = closer[fresh]
+
+
 def _build_steiner_tm(
     graph: Graph,
     source: int,
     receivers: Sequence[int],
     forest: Optional[ShortestPathForest] = None,
 ) -> DeliveryTree:
-    spt = _build_spt(graph, source, receivers, forest=forest)
-    heuristic = _graft_tree(graph, source, receivers, nearest=True)
+    source = graph.check_node(source)
+    forest = _resolve_forest(graph, source, forest)
+    spt = _spt_tree(forest, receivers)
+    heuristic = _graft_tree(graph, source, receivers, True, forest)
     # Best-of guard (see module docs): the 2-approximation may lose to
     # the SPT tree outright on tie-heavy graphs; charge it the smaller.
     if heuristic.num_links < spt.num_links:
@@ -328,7 +364,7 @@ def _count_steiner_tm(
     spt_links = MulticastTreeCounter(forest).tree_sizes_batch(matrix)
     out = np.empty(matrix.shape[0], dtype=np.int64)
     for i, row in enumerate(matrix):
-        heuristic = _graft_tree(graph, source, row, nearest=True)
+        heuristic = _graft_tree(graph, source, row, True, forest)
         out[i] = min(heuristic.num_links, int(spt_links[i]))
     return out
 
@@ -339,7 +375,7 @@ def _build_dst_approx(
     receivers: Sequence[int],
     forest: Optional[ShortestPathForest] = None,
 ) -> DeliveryTree:
-    return _graft_tree(graph, source, receivers, nearest=False)
+    return _graft_tree(graph, source, receivers, False, forest)
 
 
 def _count_dst_approx(
@@ -348,13 +384,12 @@ def _count_dst_approx(
     receiver_matrix,
     forest: Optional[ShortestPathForest] = None,
 ) -> np.ndarray:
+    source = graph.check_node(source)
+    forest = _resolve_forest(graph, source, forest)
     matrix = _as_matrix(receiver_matrix)
-    # The graft loop never reads the forest, but a mismatched one is
-    # still the caller's error, as for every other builder.
-    _resolve_forest(graph, graph.check_node(source), forest)
     out = np.empty(matrix.shape[0], dtype=np.int64)
     for i, row in enumerate(matrix):
-        out[i] = _graft_tree(graph, source, row, nearest=False).num_links
+        out[i] = _graft_tree(graph, source, row, False, forest).num_links
     return out
 
 

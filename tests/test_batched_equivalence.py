@@ -670,8 +670,9 @@ def _scalar_source_counts(
 
 
 def _per_size_partials(size_list, links_list, totals_list):
-    """The per-size loop :func:`runner._partials_from_counts` must equal
-    bit for bit: each size reduced alone over its defined ratios."""
+    """One source's share of :func:`runner._reduce_counts`, which must
+    equal it bit for bit: each size reduced alone over its defined
+    ratios."""
     out = [np.zeros(len(size_list)) for _ in range(4)]
     count = np.zeros(len(size_list), dtype=np.int64)
     for i, size in enumerate(size_list):
@@ -687,11 +688,8 @@ def _per_size_partials(size_list, links_list, totals_list):
 
 
 class TestPartialsFromCounts:
-    @pytest.mark.parametrize("rows", [1, 7, 100, 8193, 20000])
-    @pytest.mark.parametrize("with_zero_paths", [False, True])
-    def test_matches_per_size_loop(self, rows, with_zero_paths):
-        rng = np.random.default_rng(rows)
-        size_list = [1, 3, 17, 250]
+    @staticmethod
+    def _counts(rng, size_list, rows, with_zero_paths):
         links_list = [
             rng.integers(1, 5000, size=rows) for _ in size_list
         ]
@@ -702,11 +700,46 @@ class TestPartialsFromCounts:
             # Receivers all at the source: ū = 0, the ratio undefined.
             totals_list[1][::3] = 0
             totals_list[3][:] = 0
-        got = runner._partials_from_counts(size_list, links_list, totals_list)
-        expected = _per_size_partials(size_list, links_list, totals_list)
+        return links_list, totals_list
+
+    @staticmethod
+    def _assert_same(got, expected):
         for a, b in zip(got, expected):
             assert a.dtype == b.dtype
             assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 7, 100, 8193, 20000])
+    @pytest.mark.parametrize("with_zero_paths", [False, True])
+    def test_matches_per_size_loop(self, rows, with_zero_paths):
+        rng = np.random.default_rng(rows)
+        size_list = [1, 3, 17, 250]
+        counts = self._counts(rng, size_list, rows, with_zero_paths)
+        self._assert_same(
+            runner._reduce_counts(size_list, [counts]),
+            _per_size_partials(size_list, *counts),
+        )
+
+    @pytest.mark.parametrize("rows", [1, 100, 8193])
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_sources_accumulate_in_source_order(self, rows, mixed):
+        """Each source's per-size sums, added one source at a time in
+        order, whether no source or only some have undefined ratios."""
+        rng = np.random.default_rng(rows)
+        size_list = [1, 3, 17, 250]
+        source_counts = [
+            self._counts(rng, size_list, rows, mixed and i % 3 == 1)
+            for i in range(7)
+        ]
+        expected = [np.zeros(len(size_list)) for _ in range(4)]
+        expected.append(np.zeros(len(size_list), dtype=np.int64))
+        for counts in source_counts:
+            for total, part in zip(
+                expected, _per_size_partials(size_list, *counts)
+            ):
+                total += part
+        self._assert_same(
+            runner._reduce_counts(size_list, source_counts), expected
+        )
 
 
 class TestEngineEquivalence:

@@ -339,73 +339,3 @@ class TestClaimKernel:
         forest = bfs(graph, 777, tie_break="random", rng=9)
         want = _unique_levels(graph, [777], np.random.default_rng(9))
         self._assert_same((forest.dist, forest.parent), want)
-
-
-class TestStopMask:
-    """``stop`` ends the search after the first level that claims a
-    masked node; everything up to that level matches the full run."""
-
-    @staticmethod
-    def _assert_prefix_of_full_run(graph, seeds, stop):
-        """Check the stopped run against the full one; return whether
-        it stopped before the full run's last level."""
-        from repro.graph.paths import multi_source_bfs
-
-        full_dist, full_parent = multi_source_bfs(graph, seeds)
-        dist, parent = multi_source_bfs(graph, seeds, stop=stop)
-        assert dist.dtype == full_dist.dtype and parent.dtype == full_parent.dtype
-        depth = int(full_dist.max())
-        hits = full_dist[stop & (full_dist >= 1)]
-        level = int(hits.min()) if hits.size else depth
-        reached = (full_dist >= 0) & (full_dist <= level)
-        assert np.array_equal(dist, np.where(reached, full_dist, -1))
-        assert np.array_equal(parent, np.where(reached, full_parent, -1))
-        return level < depth
-
-    @pytest.mark.parametrize("name", ["arpa", "r100", "ts1000", "mbone", "as"])
-    def test_random_seeds_and_masks_on_registry_maps(self, name):
-        from repro.topology.registry import build_topology
-
-        graph = build_topology(name, scale=0.25, rng=11)
-        n = graph.num_nodes
-        rng = np.random.default_rng(17)
-        stopped_early = 0
-        for _ in range(12):
-            seeds = rng.choice(n, size=int(rng.integers(1, 6)), replace=False)
-            stop = np.zeros(n, dtype=bool)
-            stop[rng.integers(0, n, size=int(rng.integers(1, 4)))] = True
-            stopped_early += self._assert_prefix_of_full_run(graph, seeds, stop)
-        assert stopped_early
-
-    def test_disconnected_graph(self, disconnected_graph):
-        n = disconnected_graph.num_nodes
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            seeds = rng.choice(n, size=int(rng.integers(1, 4)), replace=False)
-            stop = rng.random(n) < 0.3
-            self._assert_prefix_of_full_run(disconnected_graph, seeds, stop)
-
-    def test_masks_that_never_fire_give_the_full_run(self, disconnected_graph):
-        from repro.graph.paths import multi_source_bfs
-
-        n = disconnected_graph.num_nodes
-        full = multi_source_bfs(disconnected_graph, [0])
-        unreachable = np.zeros(n, dtype=bool)
-        unreachable[[3, 4, 5]] = True
-        for stop in (np.zeros(n, dtype=bool), unreachable):
-            got = multi_source_bfs(disconnected_graph, [0], stop=stop)
-            assert np.array_equal(got[0], full[0])
-            assert np.array_equal(got[1], full[1])
-
-    def test_a_stop_bit_on_a_seed_does_not_stop_level_zero(self, path_graph):
-        from repro.graph.paths import multi_source_bfs
-
-        stop = np.zeros(path_graph.num_nodes, dtype=bool)
-        stop[[0, 4]] = True
-        dist, _ = multi_source_bfs(path_graph, [0], stop=stop)
-        assert dist.tolist() == [0, 1, 2, 3, 4]
-        stop[[0, 4]] = False
-        stop[[1, 2]] = True
-        dist, parent = multi_source_bfs(path_graph, [0], stop=stop)
-        assert dist.tolist() == [0, 1, -1, -1, -1]
-        assert parent.tolist() == [-1, 0, -1, -1, -1]

@@ -1,26 +1,28 @@
 """Tests for the Steiner grafting loop in :mod:`repro.multicast.builders`.
 
 ``steiner-tm`` and ``dst-approx`` share one private loop,
-:func:`repro.multicast.builders._graft_tree`: one multi-source BFS from
-the tree per graft, stopped at the level that reaches its target, then
-the chosen receiver's parent chain.  The
+:func:`repro.multicast.builders._graft_tree`: one distance-to-tree
+array for the whole build, lowered from each graft's new nodes.  The
 Takahashi–Matsuyama cases below drive that loop directly, because the
 registered ``steiner-tm`` builder adds a best-of-SPT guard that would
 make every "never much worse than SPT" check vacuous.  A test-local
-copy of the two loops the registry used to carry, each running the
-full BFS per graft, is the oracle for both disciplines.
+copy of the two loops the registry used to carry, each running one
+full multi-source BFS per graft, is the oracle for both disciplines.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import GraphError
 from repro.graph.core import Graph
 from repro.graph.paths import bfs, multi_source_bfs
 from repro.multicast.builders import _graft_tree, build_tree
 from repro.multicast.tree import MulticastTreeCounter
+from repro.topology.kary import kary_tree
 from repro.topology.registry import (
     EXTRA_TOPOLOGIES,
     TOPOLOGY_NAMES,
@@ -34,8 +36,8 @@ def takahashi_matsuyama(graph, source, receivers):
 
 
 class TestMultiSourceDistances:
-    """The BFS each graft step runs: nearest-seed distances, parent
-    chains that end at a seed."""
+    """The BFS the oracle loops run per graft: nearest-seed distances,
+    parent chains that end at a seed."""
 
     def test_single_source_matches_bfs(self, small_mesh):
         dist, parent = multi_source_bfs(small_mesh, [0])
@@ -249,3 +251,79 @@ def test_unreachable_messages_match_the_old_loops(disconnected_graph):
         with pytest.raises(GraphError) as got:
             _graft_tree(disconnected_graph, 0, [4, 1, 3], nearest=nearest)
         assert str(got.value) == str(expected.value)
+
+
+@st.composite
+def graft_cases(draw):
+    """Small tie-heavy graphs (grids, k-ary trees with extra links) and
+    disconnected ones, relabelled at random so the lowest-id rule meets
+    every ordering; receivers repeat and may include the source."""
+    kind = draw(st.sampled_from(["grid", "kary", "disconnected"]))
+    if kind == "grid":
+        rows, cols = draw(st.integers(1, 5)), draw(st.integers(2, 6))
+        n = rows * cols
+        edges = [
+            (r * cols + c, r * cols + c + 1)
+            for r in range(rows) for c in range(cols - 1)
+        ] + [
+            (r * cols + c, (r + 1) * cols + c)
+            for r in range(rows - 1) for c in range(cols)
+        ]
+    elif kind == "kary":
+        tree = kary_tree(draw(st.integers(2, 3)), draw(st.integers(1, 3)))
+        n = tree.num_nodes
+        edges = [tuple(int(v) for v in e) for e in tree.graph.edges()]
+        # Extra links close cycles, so some receivers get equal-cost paths.
+        for _ in range(draw(st.integers(0, 4))):
+            u, v = draw(st.integers(1, n - 1)), draw(st.integers(1, n - 1))
+            if u != v:
+                edges.append((u, v))
+    else:
+        n = draw(st.integers(2, 14))
+        edges = [
+            edge
+            for edge in draw(st.lists(
+                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                max_size=2 * n,
+            ))
+            if edge[0] != edge[1]
+        ]
+    label = draw(st.permutations(range(n)))
+    graph = Graph.from_edges(
+        n, sorted({tuple(sorted((label[u], label[v]))) for u, v in edges})
+    )
+    source = draw(st.integers(0, n - 1))
+    receivers = draw(st.lists(st.integers(0, n - 1), max_size=12))
+    if draw(st.booleans()):
+        receivers.insert(draw(st.integers(0, len(receivers))), source)
+    return graph, source, receivers
+
+
+@given(case=graft_cases())
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_incremental_graft_matches_one_bfs_per_graft(case):
+    graph, source, receivers = case
+    forest = bfs(graph, source)
+    dist, parent = forest.dist.copy(), forest.parent.copy()
+    for nearest, oracle in ((True, _oracle_tm), (False, _oracle_dst)):
+        try:
+            expected = oracle(graph, source, receivers)
+        except GraphError as exc:
+            expected = exc
+        for kwargs in ({}, {"forest": forest}):
+            if isinstance(expected, GraphError):
+                with pytest.raises(GraphError) as got:
+                    _graft_tree(graph, source, receivers, nearest, **kwargs)
+                assert str(got.value) == str(expected)
+            else:
+                _assert_same_tree(
+                    _graft_tree(graph, source, receivers, nearest, **kwargs),
+                    expected,
+                )
+    # The build lowers a private copy: the (frozen) forest is untouched.
+    assert np.array_equal(forest.dist, dist)
+    assert np.array_equal(forest.parent, parent)
