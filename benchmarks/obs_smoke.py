@@ -1,17 +1,24 @@
-"""Observability smoke: disarmed-overhead budgets + pinned serve series.
+"""Observability smoke: span and counter budgets + pinned serve series.
 
-Three gates, all fast enough for ``make test``:
+Four gates, all fast enough for ``make test``:
 
 1. **Disarmed span overhead** — with no collector armed,
    ``obs.span(...)`` must stay under :data:`SPAN_BUDGET_SECONDS` per
    call.  Spans sit on production hot paths (every sweep, every worker
    chunk), so — exactly like the fault points gated by
    ``chaos_smoke`` — "free when disarmed" is a hard requirement.
-2. **Counter overhead** — ``Counter.inc()`` (always live; there is no
+2. **Armed span overhead** — with a collector armed, entering and
+   leaving a nested span must stay under
+   :data:`ARMED_SPAN_BUDGET_SECONDS`.  A traced sweep opens ~20 layer
+   spans per op, and each one's setup and teardown lands in its
+   parent's self time; the benchmark's coverage gate counts the
+   runner's self time as unattributed, so a dearer span turns that
+   gate red on a fast op.
+3. **Counter overhead** — ``Counter.inc()`` (always live; there is no
    disarmed state for metrics) must stay under
    :data:`COUNTER_BUDGET_SECONDS` per call.  The forest cache pays
    this on every lookup.
-3. **Pinned serve series** — ``GET /metrics`` must expose every series
+4. **Pinned serve series** — ``GET /metrics`` must expose every series
    the serving layer shipped with, name-for-name
    (:data:`REQUIRED_SERVE_SERIES`), now that the document is assembled
    from the promoted :mod:`repro.obs.registry` primitives and the
@@ -37,6 +44,12 @@ from repro import obs  # noqa: E402
 #: Per-call ceiling for a disarmed span(); the measured cost is a global
 #: load, an ``is None`` test, and a kwargs dict — far below this.
 SPAN_BUDGET_SECONDS = 1.5e-6
+
+#: Per-span ceiling for an armed, nested ``with obs.span(...)`` block:
+#: an id, the thread's stack, two clock reads and an append to the
+#: finished list (the payload dict is built later, at export).  About
+#: 6 µs when each exit built its payload under a lock, ~2 µs now.
+ARMED_SPAN_BUDGET_SECONDS = 4.0e-6
 
 #: Per-call ceiling for a live Counter.inc() (one dict update under a
 #: lock).  Looser than the span budget because counters are never
@@ -73,6 +86,26 @@ def measure_noop_span(iterations: int = 200_000, repeats: int = 3) -> float:
         for _ in range(iterations):
             span("bench.obs_smoke")
         best = min(best, (time.perf_counter() - start) / iterations)
+    return best
+
+
+def measure_armed_span(iterations: int = 5_000, repeats: int = 9) -> float:
+    """Best-of-``repeats`` per-span cost of an armed, nested span block.
+
+    Each repeat arms a fresh collector, so the finished spans of earlier
+    repeats do not pile up.
+    """
+    assert obs.active_collector() is None, "smoke must start disarmed"
+    span = obs.span
+    best = float("inf")
+    for _ in range(repeats):
+        with obs.tracing():
+            with span("bench.obs_smoke.outer"):
+                start = time.perf_counter()
+                for _ in range(iterations):
+                    with span("bench.obs_smoke", layer=1):
+                        pass
+                best = min(best, (time.perf_counter() - start) / iterations)
     return best
 
 
@@ -118,6 +151,18 @@ def main(argv=None) -> int:
         print(
             "obs smoke FAIL: disarmed spans are too expensive for "
             "production hot paths"
+        )
+        failed = True
+
+    per_armed = measure_armed_span()
+    print(
+        f"armed span: {per_armed * 1e9:.0f} ns/span "
+        f"(budget {ARMED_SPAN_BUDGET_SECONDS * 1e9:.0f} ns)"
+    )
+    if per_armed >= ARMED_SPAN_BUDGET_SECONDS:
+        print(
+            "obs smoke FAIL: armed spans are too expensive; their cost "
+            "lands in each parent's self time and lowers traced coverage"
         )
         failed = True
 

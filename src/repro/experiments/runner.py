@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import logging
 from collections import OrderedDict
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -227,6 +227,60 @@ def _source_forest(
     return bfs(graph, source, tie_break="first")
 
 
+def _source_draw(
+    graph: Graph,
+    child_seed: np.random.SeedSequence,
+    distance_store: Optional[
+        Union[DistanceStore, DistanceStoreDescriptor]
+    ] = None,
+) -> Tuple[np.random.Generator, int]:
+    """One source's generator and its source pick, the stream's first draw.
+
+    On a *complete* store the pick consumes the stream identically to
+    the storeless path, so the whole sweep stays bit-identical (see
+    :meth:`DistanceStore.pick_source`).
+    """
+    source_rng = ensure_rng(child_seed)
+    store = _resolve_store(distance_store)
+    if store is not None:
+        return source_rng, store.pick_source(source_rng)
+    return source_rng, int(source_rng.integers(0, graph.num_nodes))
+
+
+def _draw_counts(
+    graph: Graph,
+    source_rng: np.random.Generator,
+    source: int,
+    size_list: Sequence[int],
+    mode: str,
+    num_receiver_sets: int,
+    tie_break: str,
+    exclude_source_site: bool,
+    use_cache: bool,
+    algorithm: str = "spt",
+    distance_store: Optional[
+        Union[DistanceStore, DistanceStoreDescriptor]
+    ] = None,
+    row_slice: Optional[Tuple[int, int]] = None,
+) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+    """Raw counts for one source already picked by :func:`_source_draw`.
+
+    With a ``distance_store`` the source's forest comes from the mmap'd
+    rows instead of a fresh BFS.
+    """
+    store = _resolve_store(distance_store)
+    if store is not None:
+        forest = store.forest(source)
+    else:
+        forest = _source_forest(graph, source, tie_break, source_rng, use_cache)
+    counter = MulticastTreeCounter(forest)
+    exclude = source if exclude_source_site else None
+    return _count_samples(
+        counter, source_rng, graph.num_nodes, size_list,
+        num_receiver_sets, mode, exclude, row_slice, algorithm, graph,
+    )
+
+
 def _source_counts(
     graph: Graph,
     child_seed: np.random.SeedSequence,
@@ -248,76 +302,70 @@ def _source_counts(
     processes ship back.  Keeping the hand-off integral is what makes
     grid chunking bit-identical: float summation is non-associative, so
     the parent must see the same arrays the serial path feeds to
-    :func:`_reduce_counts`, however the rows were split.
-
-    With a ``distance_store`` the source's forest comes from the mmap'd
-    rows instead of a fresh BFS; on a *complete* store the source draw
-    consumes the stream identically to the storeless path, so the whole
-    sweep stays bit-identical (see :meth:`DistanceStore.pick_source`).
+    :func:`_reduce_counts`, however the rows were split.  The serial
+    path runs the two steps apart instead, every :func:`_source_draw`
+    before its first count; that changes no stream, because the pick is
+    each stream's first draw.
     """
-    source_rng = ensure_rng(child_seed)
-    store = _resolve_store(distance_store)
-    if store is not None:
-        source = store.pick_source(source_rng)
-        forest = store.forest(source)
-    else:
-        source = int(source_rng.integers(0, graph.num_nodes))
-        forest = _source_forest(graph, source, tie_break, source_rng, use_cache)
-    counter = MulticastTreeCounter(forest)
-    exclude = source if exclude_source_site else None
-    return _count_samples(
-        counter, source_rng, graph.num_nodes, size_list,
-        num_receiver_sets, mode, exclude, row_slice, algorithm, graph,
+    source_rng, source = _source_draw(graph, child_seed, distance_store)
+    return _draw_counts(
+        graph, source_rng, source, size_list, mode, num_receiver_sets,
+        tie_break, exclude_source_site, use_cache, algorithm,
+        distance_store, row_slice,
     )
 
 
 def _reduce_counts(
     size_list: Sequence[int],
-    source_counts: Iterable[Tuple[Sequence[np.ndarray], Sequence[np.ndarray]]],
+    source_counts: Sequence[Tuple[Sequence[np.ndarray], Sequence[np.ndarray]]],
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The float half: per-size sums over every source's counts.
 
-    ``source_counts`` yields one ``(links_list, totals_list)`` per
-    source, in source order, and is read once.  Returns ``(ratio_sum,
-    tree_sum, tree_sq_sum, path_sum, count)`` arrays over the swept
-    sizes; ``count`` holds the number of samples whose ratio was
-    well-defined (``ū > 0``).  Each source's rows are summed alone and
-    the row sums accumulate in source order, so the floats do not
-    depend on how the work was laid out.
+    ``source_counts`` holds one ``(links_list, totals_list)`` per
+    source, in source order.  Returns ``(ratio_sum, tree_sum,
+    tree_sq_sum, path_sum, count)`` arrays over the swept sizes;
+    ``count`` holds the number of samples whose ratio was well-defined
+    (``ū > 0``).  Each source's rows are summed alone and the row sums
+    accumulate in source order, so the floats do not depend on how the
+    work was laid out.
     """
-    sizes = np.array(size_list)[:, None]
-    sums = np.zeros((4, len(size_list)))
-    count = np.zeros(len(size_list), dtype=np.int64)
-    for links_list, totals_list in source_counts:
-        # Every size has the same rows, so the counts stack into
-        # (num_sizes, rows) arrays.
-        links = np.array(links_list, dtype=float)
-        mean_path = np.array(totals_list) / sizes
-        if (mean_path > 0).all():
-            # Every ratio is defined (always, when the source site is
-            # excluded).  Row sums of a C-contiguous array are the same
-            # pairwise sums as np.sum over each row alone.
-            sums += (
-                np.sum(links / mean_path, axis=1),
-                links.sum(axis=1),
-                np.sum(links * links, axis=1),
-                mean_path.sum(axis=1),
-            )
-            count += links.shape[1]
-            continue
+    # Every source and size has the same rows, so the counts stack into
+    # (num_sources, num_sizes, rows) arrays.
+    links = np.array([pair[0] for pair in source_counts], dtype=float)
+    totals = np.array([pair[1] for pair in source_counts])
+    mean_path = totals / np.array(size_list)[:, None]
+    if (mean_path > 0).all():
+        # Every ratio is defined (always, when the source site is
+        # excluded).  Sums along the contiguous last axis are the same
+        # pairwise sums as np.sum over each row alone.
+        row_sums = np.stack((
+            np.sum(links / mean_path, axis=2),
+            links.sum(axis=2),
+            np.sum(links * links, axis=2),
+            mean_path.sum(axis=2),
+        ), axis=1)
+        count = np.full(
+            len(size_list), links.shape[0] * links.shape[2], dtype=np.int64
+        )
+    else:
         # Some sample's receivers all sit on the source (ū = 0): reduce
-        # each size over its defined ratios alone.
-        for size_idx in range(len(size_list)):
-            valid = mean_path[size_idx] > 0
-            kept = links[size_idx][valid]
-            paths = mean_path[size_idx][valid]
+        # each (source, size) row over its defined ratios alone.
+        row_sums = np.zeros((links.shape[0], 4, len(size_list)))
+        count = np.zeros(len(size_list), dtype=np.int64)
+        for src, size_idx in np.ndindex(*links.shape[:2]):
+            valid = mean_path[src, size_idx] > 0
+            kept = links[src, size_idx][valid]
+            paths = mean_path[src, size_idx][valid]
             count[size_idx] += kept.size
-            sums[:, size_idx] += (
+            row_sums[src, :, size_idx] = (
                 np.sum(kept / paths),
                 kept.sum(),
                 np.sum(kept * kept),
                 paths.sum(),
             )
+    sums = np.zeros((4, len(size_list)))
+    for part in row_sums:
+        sums += part
     ratio_sum, tree_sum, tree_sq_sum, path_sum = sums
     return ratio_sum, tree_sum, tree_sq_sum, path_sum, count
 
@@ -409,9 +457,6 @@ def measure_sweep(
             f"{eligible} sites are eligible"
         )
 
-    master = ensure_rng(rng if rng is not None else config.seed)
-    children = _spawn_seed_sequences(master, config.num_sources)
-
     # 0 = auto (one worker per CPU); the grid bounds useful parallelism.
     num_workers = min(
         resolve_workers(config.num_workers),
@@ -440,20 +485,31 @@ def measure_sweep(
         span_attrs["algorithm"] = algorithm
     sweep_span = obs.span("runner.sweep", **span_attrs)
     with sweep_span:
+        # The runner's own stages carry a layer, like the layers they
+        # sit between; neither wraps a call into another layer.
+        with obs.span("runner.seeds", layer=1):
+            master = ensure_rng(rng if rng is not None else config.seed)
+            children = _spawn_seed_sequences(master, config.num_sources)
+            # The serial path makes every generator and source pick up
+            # front, while their code is warm, instead of between counts
+            # (workers make their own).
+            draws = [] if num_workers > 1 else [
+                _source_draw(graph, child, store) for child in children
+            ]
         if num_workers > 1:
-            sums = _reduce_counts(size_list, run_sweep_chunks(
+            source_counts = run_sweep_chunks(
                 graph, children, config.num_receiver_sets, num_workers,
                 _source_counts, task_args,
-            ))
+            )
         else:
             with obs.span("runner.chunk", chunk=0, sources=len(children)):
-                # A generator: each source's counts are reduced and
-                # dropped before the next source is counted.
-                sums = _reduce_counts(size_list, (
-                    _source_counts(graph, child, *task_args)
-                    for child in children
-                ))
+                source_counts = [
+                    _draw_counts(graph, source_rng, source, *task_args)
+                    for source_rng, source in draws
+                ]
             _OBS_CHUNKS.inc(path="serial")
+        with obs.span("runner.reduce", layer=1):
+            sums = _reduce_counts(size_list, source_counts)
         total_samples = (
             config.num_sources * config.num_receiver_sets * len(size_list)
         )
@@ -475,10 +531,10 @@ def measure_sweep(
         topology=topology,
         mode=mode,
         sizes=tuple(size_list),
-        mean_ratio=tuple(float(v) for v in ratio_sum / divisor),
-        mean_tree_size=tuple(float(v) for v in mean_tree),
-        mean_unicast_path=tuple(float(v) for v in path_sum / divisor),
-        std_tree_size=tuple(float(v) for v in np.sqrt(variance)),
+        mean_ratio=tuple((ratio_sum / divisor).tolist()),
+        mean_tree_size=tuple(mean_tree.tolist()),
+        mean_unicast_path=tuple((path_sum / divisor).tolist()),
+        std_tree_size=tuple(np.sqrt(variance).tolist()),
         num_samples=config.num_sources * config.num_receiver_sets,
         num_nodes=graph.num_nodes,
         algorithm=algorithm,

@@ -109,6 +109,8 @@ class DistanceStore:
         self._num_nodes = int(self._dist.shape[1])
         self._has_parents = self._parent is not None
         self._row_of = {int(s): i for i, s in enumerate(self._sources)}
+        # One forest object per row, made on first use (see forest()).
+        self._forests: Dict[int, ShortestPathForest] = {}
         self._complete = self._sources.size == self._num_nodes and bool(
             np.array_equal(
                 self._sources, np.arange(self._num_nodes, dtype=np.int32)
@@ -203,7 +205,9 @@ class DistanceStore:
 
         Bit-identical to ``bfs(graph, source, tie_break="first")`` on
         the graph the store was built from; the arrays are zero-copy
-        views pinned to this store's mapping.
+        views pinned to this store's mapping.  Each row's forest is made
+        once and handed out again, so what it memoizes (its reachable
+        count) is paid once per row, not once per sweep.
         """
         if self._parent is None:
             raise GraphError(
@@ -211,9 +215,13 @@ class DistanceStore:
                 "rows; rebuild with include_parents=True"
             )
         i = self.row_index(source)
-        return ShortestPathForest(
-            source=int(source), dist=self._dist[i], parent=self._parent[i]
-        )
+        forest = self._forests.get(i)
+        if forest is None:
+            forest = ShortestPathForest(
+                source=int(source), dist=self._dist[i], parent=self._parent[i]
+            )
+            self._forests[i] = forest
+        return forest
 
     def pick_source(self, rng: RandomState) -> int:
         """Draw a stored source uniformly.
@@ -253,6 +261,7 @@ class DistanceStore:
         """
         self._dist = None
         self._parent = None
+        self._forests = {}
         self._sources = np.array(self._sources, dtype=np.int32)
         self._row_of = {}
 

@@ -26,6 +26,7 @@ DESIGN.md.
 
 from __future__ import annotations
 
+import functools
 import heapq
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
@@ -87,9 +88,13 @@ class ShortestPathForest:
         """Boolean mask of nodes reachable from the source."""
         return self.dist >= 0
 
-    @property
+    @functools.cached_property
     def num_reachable(self) -> int:
-        """Count of reachable nodes, including the source itself."""
+        """Count of reachable nodes, including the source itself.
+
+        Computed once per forest: the rows are read-only, so the count
+        cannot change.
+        """
         return int(np.count_nonzero(self.dist >= 0))
 
     @property

@@ -185,8 +185,9 @@ class MulticastTreeCounter:
         iteration from the deepest receiver up: the distinct
         ``(set, node)`` pairs at each level are exactly that level's tree
         links.  The loop runs ``eccentricity(source)`` times at most,
-        with one ``np.unique`` over the level's pairs — the per-receiver
-        Python loop of :meth:`tree_size` disappears entirely.
+        with one sort and one neighbour test over the level's pairs —
+        the per-receiver Python loop of :meth:`tree_size` disappears
+        entirely.
         """
         matrix = self._as_receiver_matrix(receiver_matrix)
         depths = self._check_reachable(matrix).sum(axis=1, dtype=np.int64)
@@ -235,8 +236,9 @@ class MulticastTreeCounter:
     def _dense(self, receivers: int) -> bool:
         """Whether ``receivers >= _PREORDER_MIN_DENSITY * reachable``.
 
-        Counting the reachable nodes reads the whole distance row: ~0.4
-        ms at 1M nodes, under 1% of a store-backed sweep call there.
+        The forest counts its reachable nodes once (a full scan of the
+        distance row, ~0.7 ms at 1M nodes) and keeps the count, so a
+        forest that serves many counting calls scans its row once.
         """
         reachable = self._forest.num_reachable
         return self._PREORDER_MIN_DENSITY * reachable <= receivers
@@ -279,8 +281,10 @@ class MulticastTreeCounter:
         :meth:`tree_size` call on that row.  Every receiver becomes an
         int64 key ``row << shift | node``, sorted once by depth.  From
         the deepest level up, the climbers from below join the receivers
-        at that depth, one ``np.unique`` keeps each key once, and each
-        key steps to its parent.  A ``(row, node)`` key can only appear
+        at that depth, a sort and a neighbour test keep each key once,
+        and each key steps to its parent.  (``np.unique`` gives the same
+        array but hashes int64 keys before it sorts them, several times
+        slower at these sizes.)  A ``(row, node)`` key can only appear
         at step ``dist[node]``, so each tree link of each row is counted
         exactly once, and the source (depth 0) never is.
         """
@@ -307,7 +311,12 @@ class MulticastTreeCounter:
         used = [climbers]
         for level in range(levels.size - 2, 0, -1):
             arrivals = keys[levels[level]:levels[level + 1]]
-            climbers = np.unique(np.concatenate([climbers, arrivals]))
+            merged = np.concatenate([climbers, arrivals])
+            merged.sort()
+            keep = np.empty(merged.size, dtype=bool)
+            keep[:1] = True
+            np.not_equal(merged[1:], merged[:-1], out=keep[1:])
+            climbers = merged[keep]
             used.append(climbers)
             nodes = climbers & mask
             climbers = climbers + (np.take(parent, nodes) - nodes)

@@ -42,12 +42,13 @@ production code paths carry no conditional at all when tracing is off.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import threading
 import time
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.profile import PROFILE_ENV, resolve_profile_mode, start_capture
 
@@ -94,11 +95,11 @@ class Span:
         "parent_id",
         "start",
         "end",
-        "pid",
         "thread",
         "profile",
         "_collector",
         "_capture",
+        "_stack",
     )
 
     def __init__(
@@ -110,14 +111,20 @@ class Span:
         self.parent_id: Optional[int] = None
         self.start: Optional[float] = None
         self.end: Optional[float] = None
-        self.pid = os.getpid()
-        self.thread = threading.current_thread().name
+        self.thread: Optional[str] = None
         self.profile: Optional[Dict[str, Any]] = None
         self._collector = collector
         self._capture = None
+        self._stack: Optional[List["Span"]] = None
+
+    @property
+    def pid(self) -> int:
+        """The recording process (collection is per-process)."""
+        return self._collector.pid
 
     def set(self, **attrs: Any) -> None:
-        """Attach/overwrite attributes (usable during and after the block)."""
+        """Attach/overwrite attributes (usable during and after the block;
+        the export reads them when it first sees the finished span)."""
         self.attrs.update(attrs)
 
     @property
@@ -128,12 +135,14 @@ class Span:
 
     def __enter__(self) -> "Span":
         collector = self._collector
-        self.span_id = collector._next_id()
-        stack = collector._stack()
+        self.span_id = next(collector._ids)
+        stack, self.thread = collector._thread_state()
+        self._stack = stack
         if stack:
             self.parent_id = stack[-1].span_id
         stack.append(self)
-        self._capture = start_capture(collector.profile_mode)
+        if collector.profile_mode:
+            self._capture = start_capture(collector.profile_mode)
         self.start = collector.clock()
         return self
 
@@ -145,14 +154,16 @@ class Span:
             self._capture = None
         if exc_type is not None:
             self.attrs.setdefault("error", exc_type.__name__)
-        stack = collector._stack()
-        # Robust to exotic unwinding: drop us wherever we sit.
-        if self in stack:
-            while stack and stack[-1] is not self:
+        stack = self._stack
+        if stack and stack[-1] is self:
+            stack.pop()
+        elif self in stack:
+            # Robust to exotic unwinding: drop us wherever we sit.
+            while stack[-1] is not self:
                 stack.pop()
-            if stack:
-                stack.pop()
-        collector._record(self)
+            stack.pop()
+        # A list append is atomic; the payload is built at export.
+        collector._finished.append(self)
         return False
 
     def to_dict(self) -> Dict[str, Any]:
@@ -196,44 +207,54 @@ class TraceCollector:
         if profile is None:
             profile = os.environ.get(PROFILE_ENV, "")
         self.profile_mode = resolve_profile_mode(profile)
+        # Collection is per-process, so every span carries this pid.
+        self.pid = os.getpid()
         self._lock = threading.Lock()
         self._spans: List[Dict[str, Any]] = []
-        self._next = 0
+        # Spans finished since the last flush, in completion order.
+        self._finished: List[Span] = []
+        # next() on a count is atomic, so ids need no lock.
+        self._ids = itertools.count(1)
         self._local = threading.local()
 
-    def _stack(self) -> List[Span]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = []
-            self._local.stack = stack
-        return stack
+    def _thread_state(self) -> Tuple[List[Span], str]:
+        """This thread's open-span stack and its name (read once)."""
+        try:
+            return self._local.state
+        except AttributeError:
+            state = self._local.state = ([], threading.current_thread().name)
+            return state
 
-    def _next_id(self) -> int:
-        with self._lock:
-            self._next += 1
-            return self._next
+    def _flush(self) -> None:
+        """Append the finished spans' payloads (caller holds the lock).
 
-    def _record(self, finished: Span) -> None:
-        payload = finished.to_dict()
-        with self._lock:
-            self._spans.append(payload)
+        Spans finishing meanwhile on other threads append past the
+        snapshot and wait for the next flush, so order is kept.
+        """
+        finished = self._finished
+        done = finished[:]
+        del finished[: len(done)]
+        self._spans.extend(span.to_dict() for span in done)
 
     def span(self, name: str, attrs: Optional[Dict[str, Any]] = None) -> Span:
         return Span(self, name, dict(attrs or {}))
 
     def __len__(self) -> int:
         with self._lock:
+            self._flush()
             return len(self._spans)
 
     def export(self) -> List[Dict[str, Any]]:
         """Finished spans, in completion order (JSON-safe dicts)."""
         with self._lock:
+            self._flush()
             return [dict(payload) for payload in self._spans]
 
     def absorb(self, spans: Iterable[Dict[str, Any]]) -> None:
         """Fold spans exported elsewhere (another process) into this one."""
         incoming = [dict(payload) for payload in spans]
         with self._lock:
+            self._flush()
             self._spans.extend(incoming)
 
     def dump_json(self, path: str) -> None:
@@ -252,7 +273,8 @@ def span(name: str, **attrs: Any):
     collector = _ACTIVE
     if collector is None:
         return _NOOP
-    return collector.span(name, attrs)
+    # ``attrs`` is this call's own dict, so it needs no copy.
+    return Span(collector, name, attrs)
 
 
 def start_tracing(

@@ -267,6 +267,64 @@ class TestBatchedCounting:
             assert links.tolist() == [n - 1] * 5
 
 
+class TestClimbEdgeCases:
+    """The climb's per-level dedupe (a sort and a neighbour test) at the
+    shapes where an off-by-one in its keep mask would show: one key, no
+    key, empty blocks, and rows that are mostly one key."""
+
+    @staticmethod
+    def _assert_walk_matches_scalar(forest, blocks) -> None:
+        scalar = MulticastTreeCounter(forest)
+        links, _ = _forced(forest, "walk").count_trees_and_unicast(blocks)
+        assert len(links) == len(blocks)
+        for block, block_links in zip(blocks, links):
+            assert block_links.tolist() == [
+                scalar.tree_size(row) for row in block
+            ]
+
+    def test_single_key_levels(self):
+        # One receiver at the end of a path: every level holds one key.
+        n = 40
+        graph = Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
+        forest = bfs(graph, 0)
+        self._assert_walk_matches_scalar(forest, [np.array([[n - 1]])])
+        # Two rows, each a single deep key, one row a duplicate pair.
+        self._assert_walk_matches_scalar(
+            forest, [np.array([[n - 1, n - 1], [7, 7]])]
+        )
+
+    def test_every_receiver_at_the_source(self):
+        graph = build_topology("internet", scale=0.05, rng=0)
+        forest = bfs(graph, 5)
+        matrix = np.full((4, 6), 5)
+        self._assert_walk_matches_scalar(forest, [matrix])
+        links = _forced(forest, "walk").tree_sizes_batch(matrix)
+        assert links.tolist() == [0, 0, 0, 0]
+
+    def test_zero_row_blocks_among_non_empty_ones(self):
+        graph = build_topology("internet", scale=0.05, rng=0)
+        forest = bfs(graph, 2)
+        rng = np.random.default_rng(12)
+        blocks = [
+            np.zeros((0, 3), dtype=np.int64),
+            rng.integers(0, graph.num_nodes, size=(3, 3)),
+            np.zeros((0, 8), dtype=np.int64),
+            rng.integers(0, graph.num_nodes, size=(2, 8)),
+            np.zeros((0, 1), dtype=np.int64),
+        ]
+        self._assert_walk_matches_scalar(forest, blocks)
+
+    def test_duplicate_heavy_replacement_rows(self):
+        graph = build_topology("internet", scale=0.05, rng=0)
+        forest = bfs(graph, 0)
+        rng = np.random.default_rng(13)
+        # 200 draws per row from 3 sites: almost every key is a repeat.
+        few = rng.choice([1, 17, graph.num_nodes - 1], size=(6, 200))
+        # Every row one site repeated, the source among them.
+        same = np.repeat(np.array([[0], [3], [3], [40]]), 50, axis=1)
+        self._assert_walk_matches_scalar(forest, [few, same])
+
+
 class TestCountingPathChoice:
     """The receivers-per-reachable-node rule, pinned on workload shapes:
     paper-sweep-like calls rank in preorder, sparse store-backed and

@@ -353,6 +353,69 @@ class TestSpans:
         assert len(collector) == 2
         assert collector.export()[1]["name"] == "worker.chunk"
 
+    def test_finished_absorbed_finished_export_in_completion_order(self):
+        # Payloads are built at export, so absorb must first flush the
+        # spans finished before it, or they would land after the foreign
+        # ones.
+        with obs.tracing() as collector:
+            with obs.span("first"):
+                pass
+            collector.absorb([{"span_id": 99, "name": "foreign", "pid": 1}])
+            with obs.span("second"):
+                pass
+            assert len(collector) == 3
+            with obs.span("third"):
+                pass
+        names = [payload["name"] for payload in collector.export()]
+        assert names == ["first", "foreign", "second", "third"]
+
+    def test_threads_finishing_while_exporting_lose_no_span(self):
+        # Spans finish without the lock and exports flush under it: every
+        # span must come out once, with a unique id, in each thread's
+        # own completion order.
+        import sys
+        import threading
+
+        threads, per_thread = 6, 400
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with obs.tracing() as collector:
+                stop = threading.Event()
+
+                def work(index):
+                    for n in range(per_thread):
+                        with obs.span("stress", worker=index, n=n):
+                            pass
+
+                def export_loop():
+                    while not stop.is_set():
+                        collector.export()
+
+                exporter = threading.Thread(target=export_loop)
+                workers = [
+                    threading.Thread(target=work, args=(i,))
+                    for i in range(threads)
+                ]
+                exporter.start()
+                for worker in workers:
+                    worker.start()
+                for worker in workers:
+                    worker.join(timeout=60)
+                stop.set()
+                exporter.join(timeout=60)
+                assert not exporter.is_alive()
+                assert not any(worker.is_alive() for worker in workers)
+        finally:
+            sys.setswitchinterval(interval)
+        spans = collector.export()
+        assert len(spans) == threads * per_thread
+        assert len({s["span_id"] for s in spans}) == len(spans)
+        for index in range(threads):
+            order = [s["attrs"]["n"] for s in spans
+                     if s["attrs"]["worker"] == index]
+            assert order == list(range(per_thread))
+
     def test_dump_json_writes_the_export(self, tmp_path):
         with obs.tracing() as collector:
             with obs.span("unit.work"):
@@ -469,4 +532,103 @@ class TestVirtualClockDeterminism:
 
         first, second = run(), run()
         assert first == second
-        assert {s["name"] for s in first} == {"runner.sweep", "runner.chunk"}
+        assert {s["name"] for s in first} == {
+            "runner.sweep", "runner.seeds", "runner.chunk", "runner.reduce",
+        }
+
+
+class TestRunnerSpans:
+    """The runner's own stages carry a ``layer``, so the benchmark ledger
+    counts them as attributed: one ``runner.seeds`` and one
+    ``runner.reduce`` per sweep, and neither encloses another layer's
+    call.  A runner span that wrapped counting would hide that time under
+    the runner's name instead of attributing it."""
+
+    # The calls inside a sweep that the benchmark ledger times as layers,
+    # as (owner, attribute, layer name).
+    @staticmethod
+    def _layer_targets():
+        from repro.experiments import runner
+        from repro.graph.distance_store import DistanceStore
+        from repro.multicast.tree import MulticastTreeCounter
+
+        return [
+            (runner, "require_connected", "graph.connected"),
+            (runner, "bfs", "graph.bfs"),
+            (runner, "sample_distinct_receivers_sweep", "sampling.draw"),
+            (runner, "sample_receivers_with_replacement_sweep",
+             "sampling.draw"),
+            (MulticastTreeCounter, "count_trees_and_unicast", "tree.walk"),
+            (DistanceStore, "check_graph", "store.check"),
+            (DistanceStore, "forest", "store.forest"),
+        ]
+
+    @classmethod
+    def _wrap_layers(cls, monkeypatch):
+        for owner, attr, name in cls._layer_targets():
+            fn = getattr(owner, attr)
+
+            def wrapper(*args, _fn=fn, _name=name, **kwargs):
+                with obs.span(_name, layer=1):
+                    return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, wrapper)
+
+    @staticmethod
+    def _assert_runner_layers(spans):
+        runner_spans = [
+            s for s in spans if s["name"] in ("runner.seeds", "runner.reduce")
+        ]
+        assert sorted(s["name"] for s in runner_spans) == [
+            "runner.reduce", "runner.seeds",
+        ]
+        assert all(s["attrs"].get("layer") for s in runner_spans)
+        layered = [s for s in spans if s["attrs"].get("layer")]
+        assert {s["name"] for s in layered} >= {"sampling.draw", "tree.walk"}
+        for outer in runner_spans:
+            inside = [
+                s["name"] for s in layered
+                if s is not outer
+                and outer["start"] <= s["start"] and s["end"] <= outer["end"]
+            ]
+            assert inside == [], (outer["name"], inside)
+
+    @pytest.fixture(scope="class")
+    def arpa(self):
+        from repro.topology.registry import build_topology
+
+        return build_topology("arpa")
+
+    def test_serial_sweep(self, arpa, monkeypatch):
+        from repro.experiments.config import MonteCarloConfig
+        from repro.experiments.runner import measure_sweep
+
+        self._wrap_layers(monkeypatch)
+        config = MonteCarloConfig(num_sources=3, num_receiver_sets=4, seed=2)
+        with obs.tracing() as collector:
+            measure_sweep(arpa, [1, 5], config=config, use_cache=False)
+        self._assert_runner_layers(collector.export())
+
+    def test_store_backed_sweep(self, arpa, monkeypatch, tmp_path):
+        from repro.experiments.config import MonteCarloConfig
+        from repro.experiments.runner import measure_sweep
+        from repro.graph.distance_store import build_distance_store
+
+        store = build_distance_store(
+            arpa, str(tmp_path / "rows.dist"), sources=[0, 3, 9]
+        )
+        try:
+            self._wrap_layers(monkeypatch)
+            config = MonteCarloConfig(
+                num_sources=3, num_receiver_sets=4, seed=2
+            )
+            with obs.tracing() as collector:
+                measure_sweep(
+                    arpa, [1, 5, 9], config=config, distance_store=store,
+                    use_cache=False,
+                )
+            spans = collector.export()
+            self._assert_runner_layers(spans)
+            assert sum(s["name"] == "store.forest" for s in spans) == 3
+        finally:
+            store.close()
