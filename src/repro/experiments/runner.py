@@ -20,12 +20,15 @@ Per (source, size) the runner draws the whole ``Nrcvr × size`` receiver
 matrix in O(1) RNG calls (:mod:`repro.multicast.sampling`), then counts
 the source's entire sweep — every size, every receiver set — in one call
 (:meth:`repro.multicast.tree.MulticastTreeCounter.count_trees_and_unicast`).
-That call picks one of two exact paths.  With at least
+That call picks one of two exact paths.  On a forest that keeps
+preorder tables, or with at least
 ``MulticastTreeCounter._PREORDER_MIN_DENSITY`` (2, measured) receivers
 per reachable node — the paper's sweep brings ~43 — it sorts each row's
 preorder ranks and reads ``L = Σ depth(rᵢ) + (m − 1) − Σ min depth over
-(rᵢ₋₁, rᵢ]`` from a range-min table; sparser calls, such as store-backed
-million-node sweeps, take one flat vectorized ancestor walk.
+(rᵢ₋₁, rᵢ]`` from a range-min table.  A sparser call on a cached forest
+handed out before builds those tables and the forest keeps them; other
+sparse calls, such as store-backed million-node sweeps, take one flat
+vectorized ancestor walk.
 The batched samplers consume the same random stream as repeated
 one-sample draws, so the counts are **bit-identical** to the
 one-sample-at-a-time loop of the methodology (the tier-1 suite keeps

@@ -22,6 +22,12 @@ The ``tie_break`` policy selects among them:
 
 The effect of this choice on tree size is one of the ablations indexed in
 DESIGN.md.
+
+A forest also carries, on demand, the preorder tables the tree counter
+reads instead of climbing (:attr:`ShortestPathForest.preorder`): ranks
+from subtree sizes and a range-min table over depth in preorder.  They
+are built once and kept for the forest's lifetime, because the forest's
+rows are read-only.
 """
 
 from __future__ import annotations
@@ -29,10 +35,11 @@ from __future__ import annotations
 import functools
 import heapq
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import obs
 from repro.exceptions import GraphError, NodeError
 from repro.graph.core import Graph
 from repro.utils.rng import RandomState, ensure_rng
@@ -49,6 +56,17 @@ __all__ = [
 ]
 
 _TIE_BREAKS = ("first", "random")
+
+# One inc per preorder-table build, labelled with whether the forest
+# keeps the tables (``true``) or the counting call drops them after use.
+_OBS_PREORDER_TABLES = obs.counter(
+    "repro_preorder_tables_total",
+    "Preorder-table builds, by whether the forest keeps them.",
+    labelnames=("kept",),
+)
+
+#: ``(rank, table, left, right)``: see :func:`_preorder_tables`.
+PreorderTables = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -68,15 +86,53 @@ class ShortestPathForest:
         Shortest-path-tree parent of every node; ``-1`` for the source and
         for unreachable nodes.  Following ``parent`` pointers from any
         reachable node terminates at the source.
+    reused:
+        Whether a :class:`~repro.graph.forest_cache.ForestCache` has
+        handed this forest out more than once (:meth:`mark_reused`).
+        BFS forests and distance-store rows are never marked.
     """
 
     source: int
     dist: np.ndarray
     parent: np.ndarray
+    reused: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.dist.setflags(write=False)
         self.parent.setflags(write=False)
+
+    def mark_reused(self) -> None:
+        """Record that a cache handed this forest out again.
+
+        The one write to a frozen forest: it changes no array, only
+        whether a sparse counting call keeps :attr:`preorder`.
+        """
+        object.__setattr__(self, "reused", True)
+
+    @functools.cached_property
+    def preorder(self) -> PreorderTables:
+        """Preorder tables for counting trees without a climb, kept.
+
+        Built on first access and held for the forest's lifetime: the
+        rows are read-only, so the tables cannot go stale, and every
+        array in them is read-only too.  A kept 10k-node forest holds
+        ~180 KB (``rank`` and ``table``); ``left``/``right`` are shared
+        with every forest of the same reachable count.
+        :class:`~repro.multicast.tree.MulticastTreeCounter` keeps them
+        for sparse calls on a :attr:`reused` forest only.
+        """
+        _OBS_PREORDER_TABLES.inc(kept="true")
+        return _preorder_tables(self.dist, self.parent)
+
+    @property
+    def kept_preorder(self) -> Optional[PreorderTables]:
+        """:attr:`preorder` if it has been built, else ``None``."""
+        return self.__dict__.get("preorder")
+
+    def build_preorder(self) -> PreorderTables:
+        """Fresh preorder tables that the forest does not keep."""
+        _OBS_PREORDER_TABLES.inc(kept="false")
+        return _preorder_tables(self.dist, self.parent)
 
     @property
     def num_nodes(self) -> int:
@@ -122,6 +178,109 @@ class ShortestPathForest:
             path.append(int(self.parent[path[-1]]))
         path.reverse()
         return path
+
+
+def _sibling_levels(dist: np.ndarray, parent: np.ndarray):
+    """Reachable nodes sorted by depth, siblings adjacent.
+
+    Returns ``(order, depth, levels)``: ``depth == dist[order]``, and
+    ``levels[d - 1]`` is ``(nodes, parents, runs)`` for depth ``d >= 1``,
+    ``runs`` marking where each run of siblings starts.  The order of
+    siblings within a run is free.
+    """
+    reach = np.flatnonzero(dist >= 0)
+    order = reach[np.argsort(
+        dist[reach].astype(np.int64) * (dist.shape[0] + 1) + parent[reach]
+    )]
+    depth = dist[order]
+    eccentricity = int(depth[-1])
+    bounds = np.searchsorted(depth, np.arange(eccentricity + 2, dtype=np.int32))
+    levels = []
+    for level in range(1, eccentricity + 1):
+        nodes = order[bounds[level]:bounds[level + 1]]
+        parents = parent[nodes]
+        runs = np.flatnonzero(np.r_[True, parents[1:] != parents[:-1]])
+        levels.append((nodes, parents, runs))
+    return order, depth, levels
+
+
+def _subtree_sizes(levels, num_nodes: int) -> np.ndarray:
+    """Nodes in each reachable node's subtree, itself included.
+
+    One bottom-up pass over :func:`_sibling_levels`' levels: each run
+    of siblings adds its sizes to their parent.  Unreachable nodes
+    read 1.
+    """
+    size = np.ones(num_nodes, dtype=np.int32)
+    for nodes, parents, runs in reversed(levels):
+        size[parents[runs]] += np.add.reduceat(size[nodes], runs)
+    return size
+
+
+@functools.lru_cache(maxsize=4)
+def _gap_offsets(count: int, rows: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(left, right)`` for a sparse table over ``count`` ranks.
+
+    They depend on nothing but the reachable count (``rows`` follows
+    from it), so every forest with that count shares one read-only
+    pair.
+    """
+    log2 = np.zeros(count, dtype=np.int64)
+    for k in range(1, rows):
+        log2[1 << k:] += 1
+    index = np.int32 if (rows + 1) * count < 2**31 else np.int64
+    left = (log2 * count + 1).astype(index)
+    right = (log2 * count - (1 << log2) + 1).astype(index)
+    left[0] = right[0] = rows * count
+    left.setflags(write=False)
+    right.setflags(write=False)
+    return left, right
+
+
+def _preorder_tables(dist: np.ndarray, parent: np.ndarray) -> PreorderTables:
+    """``(rank, table, left, right)`` for the preorder counting path.
+
+    ``rank[v]`` is reachable node ``v``'s preorder rank (the source is
+    0): a node's rank is its parent's plus one plus the subtree sizes
+    (:func:`_subtree_sizes`) of the siblings ranked before it, filled
+    top-down by BFS level.  ``table`` is a flattened sparse table over
+    depth in preorder: row ``k`` holds the min over ranks
+    ``[i, i + 2**k)``, and a last row holds depth + 1.  For a rank gap
+    ``g >= 1``, ``left[g] + prev`` and ``right[g] + cur`` are the two
+    row-``k`` cells (``2**k <= g``) covering ranks ``(prev, cur]``; for
+    ``g == 0`` both point at the depth + 1 row.  Depths are stored as
+    int8 when the eccentricity plus one fits, else as int32.  Every
+    array returned is read-only.
+    """
+    dist = dist.astype(np.int32, copy=False)
+    parent = parent.astype(np.int32, copy=False)
+    order, depth, levels = _sibling_levels(dist, parent)
+    size = _subtree_sizes(levels, dist.shape[0])
+    rank = np.zeros(dist.shape[0], dtype=np.int32)
+    for nodes, parents, runs in levels:
+        sizes = size[nodes]
+        before = np.cumsum(sizes) - sizes
+        run_start = np.repeat(before[runs], np.diff(np.r_[runs, nodes.size]))
+        rank[nodes] = rank[parents] + 1 + (before - run_start)
+
+    count = order.size
+    eccentricity = int(depth[-1])
+    dtype = np.int8 if eccentricity < np.iinfo(np.int8).max else np.int32
+    rows = max(count - 1, 1).bit_length()
+    table = np.empty((rows + 1, count), dtype=dtype)
+    table[0, rank[order]] = depth
+    for k in range(1, rows):
+        half = 1 << (k - 1)
+        table[k] = table[k - 1]
+        np.minimum(
+            table[k - 1, :count - half], table[k - 1, half:],
+            out=table[k, :count - half],
+        )
+    table[rows] = table[0] + 1
+    table = table.ravel()
+    rank.setflags(write=False)
+    table.setflags(write=False)
+    return (rank, table) + _gap_offsets(count, rows)
 
 
 def _gather_frontier_arcs(

@@ -156,8 +156,10 @@ class UnseededRandomRule(Rule):
 
 #: ndarray methods that mutate in place.
 _MUTATING_METHODS = {"sort", "resize", "fill", "partition", "put", "itemset"}
-#: ShortestPathForest array attributes (the cached state itself).
-_FOREST_ARRAYS = ("dist", "parent")
+#: ShortestPathForest array attributes (the cached state itself); the
+#: kept preorder tables are a tuple of arrays, so a subscript of it is
+#: one of them.
+_FOREST_ARRAYS = ("dist", "parent", "preorder")
 
 
 @register_rule
@@ -335,7 +337,7 @@ class DtypeDisciplineRule(Rule):
     )
     rationale = (
         "The BFS kernel's dist/parent, the tree counter's int32 views "
-        "of them and its preorder tables stay int32 to halve memory "
+        "of them and a forest's preorder tables stay int32 to halve memory "
         "traffic; np.arange defaults to the platform int and a float or "
         "wide store silently upcasts or wraps, so the engines drift apart on "
         "exactly the large instances the equivalence suite cannot "

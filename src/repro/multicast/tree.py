@@ -25,11 +25,16 @@ nodes in preorder; for one receiver set with ranks ``r1 <= ... <= rm``,
 because that minimum is one below the depth of the lowest common
 ancestor of the adjacent pair, and a duplicate receiver (an empty range)
 adds 0.  It costs one O(R log R) build per forest of R reachable nodes
-— preorder ranks and a sparse range-min table over depth in preorder —
-and then a sort and two table reads per receiver, against the walk's one parent step
-per receiver and tree node.  A counting call takes that path when it
-brings at least ``MulticastTreeCounter._PREORDER_MIN_DENSITY`` receivers
-per reachable node, and walks otherwise; both give the same integers.
+— preorder ranks and a sparse range-min table over depth in preorder
+(:attr:`repro.graph.paths.ShortestPathForest.preorder`) — and then a
+sort and two table reads per receiver, against the walk's one parent
+step per receiver and tree node.  The tables belong to the forest.  A
+counting call uses tables the forest already keeps; otherwise a call
+bringing at least ``MulticastTreeCounter._PREORDER_MIN_DENSITY``
+receivers per reachable node builds tables for itself and drops them,
+a sparser call on a forest a cache has handed out again builds tables
+and the forest keeps them, and any other call walks.  Every path gives
+the same integers.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ import numpy as np
 from repro import obs
 from repro.exceptions import GraphError, NodeError
 from repro.graph.core import Graph
-from repro.graph.paths import ShortestPathForest, bfs
+from repro.graph.paths import PreorderTables, ShortestPathForest, bfs
 from repro.utils.rng import RandomState
 
 __all__ = ["MulticastTreeCounter", "DeliveryTree", "build_delivery_tree"]
@@ -74,13 +79,15 @@ class MulticastTreeCounter:
     ``0..num_nodes-1`` raise :class:`~repro.exceptions.NodeError`.
     """
 
-    # A batched count takes the preorder path when it brings at least
-    # this many receivers per reachable node.  Measured on the 10k-node
-    # internet map (2-vCPU VM), the two paths (build included) break
-    # even at ~1 receiver per node for sweep-shaped calls and at ~1.7
-    # for rows of 1000; at 2 the preorder path led on every row shape
-    # tried (1.2-9x).  On a 1M-node forest the build alone takes
-    # ~250 ms, against ~7 ms for a whole store-backed sweep call.
+    # A batched count on a forest without kept tables builds tables
+    # for itself when it brings at least this many receivers per
+    # reachable node.  Measured on the 10k-node internet map (2-vCPU
+    # VM), the two paths (build included) break even at ~1 receiver per
+    # node for sweep-shaped calls and at ~1.7 for rows of 1000; at 2 the
+    # preorder path led on every row shape tried (1.2-9x).  On a
+    # 1M-node forest the build alone takes ~250 ms, against ~7 ms for a
+    # whole store-backed sweep call.  Tables a reused forest keeps cost
+    # nothing per call, so they are read at any density.
     _PREORDER_MIN_DENSITY = 2
 
     def __init__(self, forest: ShortestPathForest) -> None:
@@ -97,9 +104,6 @@ class MulticastTreeCounter:
         # copy is taken.
         self._parent32 = forest.parent.astype(np.int32, copy=False)
         self._dist32 = forest.dist.astype(np.int32, copy=False)
-        # The preorder path's tables (_preorder_tables), built by the
-        # first counting call that takes that path.
-        self._preorder: Optional[Tuple[np.ndarray, ...]] = None
 
     @property
     def forest(self) -> ShortestPathForest:
@@ -201,7 +205,7 @@ class MulticastTreeCounter:
         Equivalent to calling :meth:`tree_sizes_batch` and
         :meth:`unicast_totals_batch` on each matrix, but all matrices
         are counted together — one path choice, one climb or one
-        preorder build for the whole call — and one distance gather
+        preorder count for the whole call — and one distance gather
         serves the reachability check, the unicast totals and the
         preorder count.  This is the Monte-Carlo engine's fast path:
         a whole per-source sweep — every group size, every receiver set —
@@ -223,15 +227,26 @@ class MulticastTreeCounter:
         """Link counts for ``blocks``, by the path that suits the call.
 
         ``depths[b]`` holds block ``b``'s per-row receiver depth sums.
-        The one place a counting path is chosen: the preorder build's
-        cost grows with the reachable nodes whatever the call, so it pays
-        only when the call brings enough receivers per reachable node.
+        The one place a counting path is chosen, in this order: tables
+        the forest keeps; tables built for a dense call and dropped (the
+        build's cost grows with the reachable nodes whatever the call,
+        so one call pays for it only when it brings enough receivers per
+        reachable node); tables built and kept by a sparse call on a
+        reused forest, whose later calls then count without a build;
+        else the climb.
         """
-        if self._dense(sum(block.size for block in blocks)):
-            _OBS_COUNTS.inc(strategy="preorder")
-            return self._preorder_blocks(blocks, depths)
-        _OBS_COUNTS.inc(strategy="walk")
-        return self._walk_blocks(blocks)
+        forest = self._forest
+        tables = forest.kept_preorder
+        if tables is None:
+            if self._dense(sum(block.size for block in blocks)):
+                tables = forest.build_preorder()
+            elif forest.reused:
+                tables = forest.preorder
+        if tables is None:
+            _OBS_COUNTS.inc(strategy="walk")
+            return self._walk_blocks(blocks)
+        _OBS_COUNTS.inc(strategy="preorder")
+        return self._preorder_blocks(blocks, depths, tables)
 
     def _dense(self, receivers: int) -> bool:
         """Whether ``receivers >= _PREORDER_MIN_DENSITY * reachable``.
@@ -244,7 +259,10 @@ class MulticastTreeCounter:
         return self._PREORDER_MIN_DENSITY * reachable <= receivers
 
     def _preorder_blocks(
-        self, blocks: List[np.ndarray], depths: List[np.ndarray]
+        self,
+        blocks: List[np.ndarray],
+        depths: List[np.ndarray],
+        tables: PreorderTables,
     ) -> List[np.ndarray]:
         """Link counts from sorted preorder ranks and range minima.
 
@@ -253,9 +271,7 @@ class MulticastTreeCounter:
         module docstring's identity); a duplicate pair reads the table's
         depth + 1 row, so it adds 0.
         """
-        if self._preorder is None:
-            self._preorder = _preorder_tables(self._dist32, self._parent32)
-        rank, table, left, right = self._preorder
+        rank, table, left, right = tables
         out = []
         for block, depth in zip(blocks, depths):
             ranks = np.take(rank, block)
@@ -388,69 +404,6 @@ class MulticastTreeCounter:
                 f"receiver {bad} is unreachable from source {self._source}"
             )
         return d
-
-
-def _preorder_tables(
-    dist: np.ndarray, parent: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(rank, table, left, right)`` for the preorder counting path.
-
-    ``rank[v]`` is reachable node ``v``'s preorder rank (the source is
-    0).  Subtree sizes come bottom-up by BFS level, ranks top-down: a
-    node's rank is its parent's plus one plus the sizes of the siblings
-    ranked before it.  ``table`` is a flattened sparse table over depth
-    in preorder: row ``k`` holds the min over ranks ``[i, i + 2**k)``,
-    and a last row holds depth + 1.  For a rank gap ``g >= 1``,
-    ``left[g] + prev`` and ``right[g] + cur`` are the two row-``k``
-    cells (``2**k <= g``) covering ranks ``(prev, cur]``; for ``g == 0``
-    both point at the depth + 1 row.  Depths are stored as int8 when
-    the eccentricity plus one fits, else as int32.
-    """
-    reach = np.flatnonzero(dist >= 0)
-    # Level by level, siblings adjacent: their order is free.
-    order = reach[np.argsort(
-        dist[reach].astype(np.int64) * (dist.shape[0] + 1) + parent[reach]
-    )]
-    depth = dist[order]
-    eccentricity = int(depth[-1])
-    bounds = np.searchsorted(depth, np.arange(eccentricity + 2, dtype=np.int32))
-    levels = []
-    for level in range(1, eccentricity + 1):
-        nodes = order[bounds[level]:bounds[level + 1]]
-        parents = parent[nodes]
-        runs = np.flatnonzero(np.r_[True, parents[1:] != parents[:-1]])
-        levels.append((nodes, parents, runs))
-    size = np.ones(dist.shape[0], dtype=np.int32)
-    for nodes, parents, runs in reversed(levels):
-        size[parents[runs]] += np.add.reduceat(size[nodes], runs)
-    rank = np.zeros(dist.shape[0], dtype=np.int32)
-    for nodes, parents, runs in levels:
-        sizes = size[nodes]
-        before = np.cumsum(sizes) - sizes
-        run_start = np.repeat(before[runs], np.diff(np.r_[runs, nodes.size]))
-        rank[nodes] = rank[parents] + 1 + (before - run_start)
-
-    count = order.size
-    dtype = np.int8 if eccentricity < np.iinfo(np.int8).max else np.int32
-    rows = max(count - 1, 1).bit_length()
-    table = np.empty((rows + 1, count), dtype=dtype)
-    table[0, rank[order]] = depth
-    for k in range(1, rows):
-        half = 1 << (k - 1)
-        table[k] = table[k - 1]
-        np.minimum(
-            table[k - 1, :count - half], table[k - 1, half:],
-            out=table[k, :count - half],
-        )
-    table[rows] = table[0] + 1
-    log2 = np.zeros(count, dtype=np.int64)
-    for k in range(1, rows):
-        log2[1 << k:] += 1
-    index = np.int32 if table.size < 2**31 else np.int64
-    left = (log2 * count + 1).astype(index)
-    right = (log2 * count - (1 << log2) + 1).astype(index)
-    left[0] = right[0] = rows * count
-    return rank, table.ravel(), left, right
 
 
 @dataclass(frozen=True)

@@ -250,7 +250,9 @@ class EstimatorTable:
         above the counter's ``_PREORDER_MIN_DENSITY`` of 2, so each
         source is counted from preorder ranks: ``L = Σ depth(rᵢ) +
         (m − 1) − Σ min depth over (rᵢ₋₁, rᵢ]`` on the sorted ranks, one
-        range-min read per adjacent pair.
+        range-min read per adjacent pair.  Such a dense call builds the
+        tables for itself and drops them, so a fit leaves no tables on
+        the cached forests it counted.
 
         Pass a :class:`~repro.graph.distance_store.DistanceStore` (or
         its descriptor) to serve source forests from precomputed mmap

@@ -29,3 +29,9 @@ def _private_view(cache, graph):
 def refreeze(cache, graph):
     forest = cache.forest(graph, 4)
     forest.dist.setflags(write=False)
+
+
+def copy_kept_rank(cache, graph):
+    rank = cache.forest(graph, 5).preorder[0].copy()
+    rank[0] = 1
+    return rank

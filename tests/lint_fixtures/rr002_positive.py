@@ -29,3 +29,8 @@ def thaw(cache, graph):
 def leak_view(cache, graph):
     forest = cache.forest(graph, 4)
     return forest.dist  # expect: RR002
+
+
+def write_kept_table(cache, graph):
+    forest = cache.forest(graph, 5)
+    forest.preorder[1][0] = 0  # expect: RR002

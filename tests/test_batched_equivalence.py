@@ -13,6 +13,8 @@ an unexplained figure-level drift.
 from __future__ import annotations
 
 import hashlib
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -24,7 +26,9 @@ from repro.experiments import runner
 from repro.experiments.config import MonteCarloConfig
 from repro.experiments.runner import measure_single_source_sweep, measure_sweep
 from repro.graph.core import Graph
-from repro.graph.paths import bfs
+from repro.graph.distance_store import build_distance_store
+from repro.graph.forest_cache import ForestCache, default_forest_cache
+from repro.graph.paths import _preorder_tables, bfs
 from repro.multicast import sampling
 from repro.multicast.sampling import (
     sample_distinct_receivers,
@@ -34,7 +38,7 @@ from repro.multicast.sampling import (
 )
 from repro import obs
 from repro.exceptions import GraphError, SamplingError
-from repro.multicast.tree import MulticastTreeCounter, _preorder_tables
+from repro.multicast.tree import MulticastTreeCounter
 from repro.topology.registry import build_topology
 
 # ---------------------------------------------------------------------------
@@ -95,13 +99,16 @@ def counting_cases(draw):
 # Layer 1: vectorized tree counting
 # ---------------------------------------------------------------------------
 
-#: Both batched counting paths.  A counter is forced onto one by its
-#: receivers-per-node threshold: 0 always ranks in preorder, infinity
-#: always walks.
+#: Both batched counting paths.  A counter on a forest without kept
+#: preorder tables is forced onto one by its receivers-per-node
+#: threshold: 0 always ranks in preorder, infinity always walks.
 COUNTING_PATHS = {"walk": float("inf"), "preorder": 0}
 
 
 def _forced(forest, path: str) -> MulticastTreeCounter:
+    # Kept tables are read at any density, so only a forest without
+    # them can be forced onto the walk.
+    assert forest.kept_preorder is None
     counter = MulticastTreeCounter(forest)
     counter._PREORDER_MIN_DENSITY = COUNTING_PATHS[path]
     return counter
@@ -367,6 +374,9 @@ class TestCountingPathChoice:
         assert after["walk"] == before["walk"]
 
     def test_sparse_calls_keep_the_walk(self, path_calls):
+        # Earlier tests may have handed these sources' forests out of
+        # the default cache already; a reused forest would keep tables.
+        default_forest_cache().clear()
         graph = build_topology("internet", scale=0.05, rng=0)
         n = graph.num_nodes
         # million-store: 8 sets over sizes up to n/1000 (~0.01 per node);
@@ -396,6 +406,138 @@ class TestCountingPathChoice:
         counter.tree_sizes_batch(np.zeros((3, k), dtype=np.int64))
         counter.tree_sizes_batch(np.zeros((3, k - 1), dtype=np.int64))
         assert path_calls == {"walk": 1, "preorder": 1}
+
+    @staticmethod
+    def _table_builds():
+        series = obs.default_registry().get("repro_preorder_tables_total")
+        return {kept: series.value(kept=kept) for kept in ("true", "false")}
+
+    @staticmethod
+    def _sparse_matrix(graph, seed=0):
+        # 20 sets of 10: serve-exact's shape, ~0.4 receivers per node.
+        return np.random.default_rng(seed).integers(
+            0, graph.num_nodes, size=(20, 10)
+        )
+
+    def test_sparse_call_on_reused_forest_keeps_tables(self, path_calls):
+        graph = build_topology("internet", scale=0.05, rng=0)
+        cache = ForestCache()
+        forest = cache.forest(graph, 7)
+        assert cache.forest(graph, 7) is forest and forest.reused
+        matrices = [self._sparse_matrix(graph, seed) for seed in range(3)]
+        climbed = [
+            _forced(bfs(graph, 7), "walk").tree_sizes_batch(m).tolist()
+            for m in matrices
+        ]
+        before = self._table_builds()
+        links, _ = MulticastTreeCounter(forest).count_trees_and_unicast(
+            matrices[:1]
+        )
+        counted = [links[0].tolist()] + [
+            MulticastTreeCounter(forest).tree_sizes_batch(m).tolist()
+            for m in matrices[1:]
+        ]
+        assert counted == climbed
+        assert path_calls == {"walk": 3, "preorder": 3}  # 3 references
+        # One build, kept, serves every later counter on the forest.
+        assert forest.kept_preorder is forest.preorder
+        after = self._table_builds()
+        assert after["true"] - before["true"] == 1
+        assert after["false"] == before["false"]
+        for array in forest.preorder:
+            assert not array.flags.writeable
+
+    def test_dense_call_on_forest_handed_out_once_keeps_nothing(
+        self, path_calls
+    ):
+        graph = build_topology("internet", scale=0.05, rng=0)
+        forest = ForestCache().forest(graph, 3)
+        assert not forest.reused
+        k = MulticastTreeCounter._PREORDER_MIN_DENSITY
+        matrix = np.random.default_rng(1).integers(
+            0, graph.num_nodes, size=(k * graph.num_nodes // 50, 50)
+        )
+        before = self._table_builds()
+        links = MulticastTreeCounter(forest).tree_sizes_batch(matrix)
+        assert path_calls == {"walk": 0, "preorder": 1}
+        assert forest.kept_preorder is None
+        after = self._table_builds()
+        assert after["false"] - before["false"] == 1
+        assert after["true"] == before["true"]
+        walked = _forced(forest, "walk").tree_sizes_batch(matrix)
+        assert links.tolist() == walked.tolist()
+
+    def test_store_rows_and_bfs_forests_never_keep(self, path_calls, tmp_path):
+        graph = build_topology("internet", scale=0.05, rng=0)
+        store = build_distance_store(
+            graph, str(tmp_path / "rows.dist"), sources=[0, 4]
+        )
+        try:
+            forests = [store.forest(4), store.forest(4), bfs(graph, 4)]
+            assert forests[0] is forests[1]
+            matrix = self._sparse_matrix(graph)
+            for forest in forests:
+                MulticastTreeCounter(forest).tree_sizes_batch(matrix)
+                assert not forest.reused
+                assert forest.kept_preorder is None
+            assert path_calls == {"walk": 3, "preorder": 0}
+        finally:
+            store.unlink()
+
+    def test_borrow_mutable_copies_carry_no_tables(self, path_calls):
+        graph = build_topology("internet", scale=0.05, rng=0)
+        cache = ForestCache()
+        cache.forest(graph, 2)
+        shared = cache.forest(graph, 2)
+        matrix = self._sparse_matrix(graph)
+        kept = MulticastTreeCounter(shared).tree_sizes_batch(matrix)
+        assert shared.kept_preorder is not None
+        copy = cache.borrow_mutable(graph, 2)
+        assert not copy.reused and copy.kept_preorder is None
+        walked = MulticastTreeCounter(copy).tree_sizes_batch(matrix)
+        assert copy.kept_preorder is None
+        assert path_calls == {"walk": 1, "preorder": 1}
+        assert walked.tolist() == kept.tolist()
+
+    def test_threads_on_one_reused_forest_agree(self):
+        """Executor threads (more than cores, switching often) race the
+        first, table-building count on one reused forest; every thread
+        must get the climb's integers."""
+        graph = build_topology("internet", scale=0.05, rng=0)
+        cache = ForestCache()
+        cache.forest(graph, 9)
+        forest = cache.forest(graph, 9)
+        matrices = [self._sparse_matrix(graph, seed) for seed in (5, 6)]
+        expected = [
+            _forced(bfs(graph, 9), "walk").tree_sizes_batch(m).tolist()
+            for m in matrices
+        ]
+        workers = 6
+        start = threading.Barrier(workers, timeout=30)
+        results = [None] * workers
+
+        def count(i):
+            start.wait()
+            results[i] = [
+                MulticastTreeCounter(forest).tree_sizes_batch(m).tolist()
+                for m in matrices
+            ]
+
+        threads = [
+            threading.Thread(target=count, args=(i,)) for i in range(workers)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [expected] * workers
+        assert forest.kept_preorder is not None
 
 
 # ---------------------------------------------------------------------------

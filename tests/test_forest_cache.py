@@ -194,6 +194,42 @@ class TestWriteGuards:
         borrowed.parent[1] = -5  # must not raise
 
 
+class TestReuseMark:
+    """A hit marks the shared forest reused and builds nothing; the
+    tables a reused forest keeps are shared read-only state too."""
+
+    def test_hit_marks_reused_and_builds_nothing(self):
+        cache = ForestCache()
+        graph = ring(10)
+        first = cache.forest(graph, 0)
+        assert not first.reused
+        assert cache.forest(graph, 0).reused
+        assert first.kept_preorder is None
+        assert not bfs(graph, 0).reused
+
+    def test_borrow_mutable_copy_is_unmarked(self):
+        cache = ForestCache()
+        graph = ring(10)
+        cache.forest(graph, 0)
+        cache.forest(graph, 0).preorder
+        copy = cache.borrow_mutable(graph, 0)
+        assert not copy.reused and copy.kept_preorder is None
+
+    def test_kept_tables_are_read_only(self):
+        cache = ForestCache()
+        rank, table, left, right = cache.forest(ring(10), 0).preorder
+        for array in (rank, table, left, right):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+
+    def test_gap_offsets_are_shared_by_reachable_count(self):
+        cache = ForestCache()
+        graph = ring(12)
+        a, b = (cache.forest(graph, s).preorder for s in (0, 5))
+        assert a[2] is b[2] and a[3] is b[3]
+        assert a[0] is not b[0]
+
+
 class TestConcurrency:
     """Thread-safety and single-flight regressions for shared caches.
 
